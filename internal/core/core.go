@@ -70,6 +70,10 @@ type Options struct {
 	// (reopt.Calibration). Until it has enough observations the defaults
 	// apply unchanged.
 	Calibration *reopt.Calibration
+	// DisableViewMaintenance turns incremental view maintenance off (an
+	// ablation): MaintainViews invalidates every view reading the written
+	// base instead of stitching, shrinking or keeping it.
+	DisableViewMaintenance bool
 	// Batch selects the execution data plane for Run and RunAnalyze: the
 	// zero value (BatchAuto) drives converted operators through columnar
 	// batches with value interning, BatchOff forces the record-at-a-time
@@ -355,6 +359,19 @@ func Optimize(root *algebra.Node, requested seq.Span, opts Options) (*Result, er
 		}
 	}
 	return res, nil
+}
+
+// ExplainText renders EXPLAIN's full text: a header naming the plan
+// (head, e.g. "plan" or "plan @epoch 3") with the stream and per-probe
+// cost estimates, the stream-access property and the cache budget,
+// then the physical plan and the annotated query.
+func (r *Result) ExplainText(head string) string {
+	mode := "stream-access (single scan, cache-finite)"
+	if !r.StreamAccess {
+		mode = "not stream-access (unbounded forward scope)"
+	}
+	return fmt.Sprintf("%s (stream cost %.2f, per-probe cost %.2f, %s, cache budget %d records):\n%s\nannotated query (span/density propagation):\n%s",
+		head, r.Cost.Stream, r.Cost.ProbePer, mode, r.CacheBudget, r.Explain(), r.ExplainMeta())
 }
 
 // ExplainMeta renders the rewritten logical tree annotated with the

@@ -35,9 +35,19 @@ var StitchThreshold = 0.5
 // decision — including "nothing to do" — is returned as a report for
 // EXPLAIN and the planlint ivm/* invariants. A view whose maintenance
 // fails is invalidated (never left stale); the error is folded into the
-// returned error after all views are processed.
+// returned error after all views are processed. With
+// opts.DisableViewMaintenance every view reading base is invalidated
+// and no decision is reported: the pre-IVM contract.
 func MaintainViews(reg *matview.Registry, base string, delta seq.Span, epoch int64, lookup func(string) (seq.Sequence, bool), opts Options) ([]matview.MaintenanceReport, error) {
 	if reg == nil {
+		return nil, nil
+	}
+	if opts.DisableViewMaintenance {
+		for _, v := range reg.Views() {
+			if v.InvalidFrom() == 0 && matview.ReadsBase(v.Node, base) {
+				invalidateView(reg, v, epoch)
+			}
+		}
 		return nil, nil
 	}
 	// Maintenance plans views in isolation: no view substitution while

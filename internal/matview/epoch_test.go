@@ -111,3 +111,44 @@ func TestRegistrySliceIsolation(t *testing.T) {
 		t.Fatal("slice drop leaked into the parent registry")
 	}
 }
+
+// TestRemovalReleasesViews checks that GC, Drop and InvalidateBase
+// leave no removed view reachable through the vacated tail of the
+// order slice's backing array: a compacted-away view generation must be
+// collectable once no reader holds it.
+func TestRemovalReleasesViews(t *testing.T) {
+	tailClear := func(t *testing.T, r *Registry, op string) {
+		t.Helper()
+		for i, v := range r.order[len(r.order):cap(r.order)] {
+			if v != nil {
+				t.Fatalf("%s: order[%d] beyond len %d still holds view %q", op, len(r.order)+i, len(r.order), v.Name)
+			}
+		}
+	}
+	build := func(t *testing.T) *Registry {
+		r := New()
+		for i, name := range []string{"a", "b", "c", "d"} {
+			base := testBase(t, "quakes")
+			if i%2 == 1 {
+				base = testBase(t, "volcanos")
+			}
+			materialize(t, r, name, sel(t, base, gt(t, col(t, base, "v"), expr.Literal(seq.Float(float64(i))))), seq.NewSpan(1, 20))
+		}
+		return r
+	}
+
+	r := build(t)
+	r.InvalidateBaseFrom("quakes", 5)
+	if got := r.GC(5); len(got) != 2 {
+		t.Fatalf("GC dropped %v, want a and c", got)
+	}
+	tailClear(t, r, "GC")
+
+	r = build(t)
+	r.Drop("a")
+	tailClear(t, r, "Drop")
+
+	r = build(t)
+	r.InvalidateBase("volcanos")
+	tailClear(t, r, "InvalidateBase")
+}

@@ -432,14 +432,22 @@ func (r *Registry) Drop(name string) bool {
 	delete(r.byName, name)
 	// Remove every generation of the name (SwapGeneration retains old
 	// generations in order for pinned readers).
+	r.compact(func(v *View) bool { return v.Name == name })
+	return true
+}
+
+// compact removes the views drop selects from r.order in place and
+// clears the vacated tail of the backing array, so a removed view is
+// unreachable once no reader holds it. Called with r.mu held.
+func (r *Registry) compact(drop func(*View) bool) {
 	kept := r.order[:0]
 	for _, v := range r.order {
-		if v.Name != name {
+		if !drop(v) {
 			kept = append(kept, v)
 		}
 	}
+	clear(r.order[len(kept):])
 	r.order = kept
-	return true
 }
 
 // At returns a read-only registry slice containing exactly the views a
@@ -490,20 +498,18 @@ func (r *Registry) GC(minLive int64) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var dropped []string
-	kept := r.order[:0]
-	for _, v := range r.order {
-		if inv := v.invalidFrom.Load(); inv != 0 && inv <= minLive {
-			// An old generation superseded by SwapGeneration no longer owns
-			// the byName entry; only clear it if this view still does.
-			if r.byName[v.Name] == v {
-				delete(r.byName, v.Name)
-			}
-			dropped = append(dropped, v.Name)
-			continue
+	r.compact(func(v *View) bool {
+		if inv := v.invalidFrom.Load(); inv == 0 || inv > minLive {
+			return false
 		}
-		kept = append(kept, v)
-	}
-	r.order = kept
+		// An old generation superseded by SwapGeneration no longer owns
+		// the byName entry; only clear it if this view still does.
+		if r.byName[v.Name] == v {
+			delete(r.byName, v.Name)
+		}
+		dropped = append(dropped, v.Name)
+		return true
+	})
 	return dropped
 }
 
@@ -514,16 +520,14 @@ func (r *Registry) InvalidateBase(base string) []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	var dropped []string
-	kept := r.order[:0]
-	for _, v := range r.order {
-		if readsBase(v.Node, base) {
-			delete(r.byName, v.Name)
-			dropped = append(dropped, v.Name)
-			continue
+	r.compact(func(v *View) bool {
+		if !readsBase(v.Node, base) {
+			return false
 		}
-		kept = append(kept, v)
-	}
-	r.order = kept
+		delete(r.byName, v.Name)
+		dropped = append(dropped, v.Name)
+		return true
+	})
 	return dropped
 }
 

@@ -31,7 +31,36 @@ func TestBatchDiskDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
+	runLeafDifferential(t, "disk-backed", func(name string, mat *seq.Materialized, kind storage.Kind) (seq.Sequence, error) {
+		if err := db.CreateSequence(name, mat, kind); err != nil {
+			return nil, err
+		}
+		s, ok := db.Seq(name)
+		if !ok {
+			return nil, fmt.Errorf("sequence %s vanished after create", name)
+		}
+		return s.Latest(), nil
+	})
+}
 
+// TestBatchSnapshotDifferential is the same differential over the
+// memory tier's MVCC snapshots — the leaves every engine read binds —
+// which scan natively in batches.
+func TestBatchSnapshotDifferential(t *testing.T) {
+	runLeafDifferential(t, "snapshot-backed", func(_ string, mat *seq.Materialized, kind storage.Kind) (seq.Sequence, error) {
+		v, err := storage.NewVersioned(mat, kind, 4, 1)
+		if err != nil {
+			return nil, err
+		}
+		return v.SnapshotAt(1), nil
+	})
+}
+
+// runLeafDifferential rebinds every base of random queries to the
+// sequence store returns (alternating sparse and dense layouts) and
+// checks batch evaluation against scalar evaluation on the optimized
+// plans, plus the batch/* invariants.
+func runLeafDifferential(t *testing.T, tier string, store func(name string, mat *seq.Materialized, kind storage.Kind) (seq.Sequence, error)) {
 	span := seq.NewSpan(-10, 50)
 	cfg := testgen.Config{MaxDepth: 4, MaxPos: 32, BaseDensity: 0.5}
 	const plans = 60
@@ -46,8 +75,8 @@ func TestBatchDiskDifferential(t *testing.T) {
 		if algebra.Divergent(q) {
 			continue
 		}
-		// Persist every base onto the disk tier and point the query at
-		// the recovered snapshots.
+		// Move every base onto the tier and point the query at its
+		// snapshots.
 		nbase := 0
 		var swapErr error
 		var walk func(n *algebra.Node)
@@ -68,16 +97,12 @@ func TestBatchDiskDifferential(t *testing.T) {
 			if nbase%2 == 0 {
 				kind = storage.KindDense
 			}
-			if err := db.CreateSequence(name, mat, kind); err != nil {
+			s, err := store(name, mat, kind)
+			if err != nil {
 				swapErr = fmt.Errorf("create %s: %w", name, err)
 				return
 			}
-			s, ok := db.Seq(name)
-			if !ok {
-				swapErr = fmt.Errorf("sequence %s vanished after create", name)
-				return
-			}
-			n.Seq = s.Latest()
+			n.Seq = s
 		}
 		walk(q)
 		if swapErr != nil {
@@ -91,8 +116,8 @@ func TestBatchDiskDifferential(t *testing.T) {
 			continue
 		}
 		if issues := planlint.VerifyBatches(res.Plan, res.RunSpan); len(issues) != 0 {
-			t.Fatalf("seed %d: disk-backed batch verification:\n%v\nquery:\n%s\nplan:\n%s",
-				seed, planlint.Error(issues), q, res.Explain())
+			t.Fatalf("seed %d: %s batch verification:\n%v\nquery:\n%s\nplan:\n%s",
+				seed, tier, planlint.Error(issues), q, res.Explain())
 		}
 		sgot, err := exec.Run(res.Plan, res.RunSpan)
 		if err != nil {
@@ -104,14 +129,14 @@ func TestBatchDiskDifferential(t *testing.T) {
 			t.Fatalf("seed %d: batch run: %v\nplan:\n%s", seed, err, res.Explain())
 		}
 		if !testgen.EntriesApproxEqual(bgot.Entries(), sgot.Entries()) {
-			t.Fatalf("seed %d: disk-backed batch evaluation disagrees with scalar\nquery:\n%s\nplan:\n%s",
-				seed, q, res.Explain())
+			t.Fatalf("seed %d: %s batch evaluation disagrees with scalar\nquery:\n%s\nplan:\n%s",
+				seed, tier, q, res.Explain())
 		}
 		batches += ctx.Batches
 		verified++
 	}
-	t.Logf("verified %d disk-backed plans batch-vs-scalar (%d batches consumed)", verified, batches)
+	t.Logf("verified %d %s plans batch-vs-scalar (%d batches consumed)", verified, tier, batches)
 	if batches == 0 {
-		t.Fatalf("no disk-backed plan ever consumed a batch; the disk batch differential is dead")
+		t.Fatalf("no %s plan ever consumed a batch; the differential is dead", tier)
 	}
 }

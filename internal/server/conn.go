@@ -24,9 +24,17 @@ func (s *Server) ListenAndServe(addr string) error {
 
 // Serve accepts connections on ln until Close, one goroutine per
 // connection, and runs the background epoch GC when Config.GCInterval is
-// set. Serve returns nil after Close.
+// set. Serve returns nil after Close, and at once (closing ln) when
+// Close ran first.
 func (s *Server) Serve(ln net.Listener) error {
 	s.listenMu.Lock()
+	if s.closed.Load() {
+		// Close swaps closed before it reads s.ln under listenMu: it has
+		// already looked for a listener and will not close this one.
+		s.listenMu.Unlock()
+		ln.Close()
+		return nil
+	}
 	s.ln = ln
 	s.listenMu.Unlock()
 	if s.cfg.GCInterval > 0 {

@@ -1,6 +1,6 @@
 // Disk attachment: the server's storage tier behind serverSeq is an
 // interface with two implementations — the memory-backed
-// storage.Versioned the server has always used, and the durable
+// storage.Versioned, which satisfies it directly, and the durable
 // disk.DB (page files + WAL + buffer pool, internal/storage/disk).
 // AttachDisk swaps the tier: existing sequences and persisted views are
 // loaded, the epoch tracker is seeded from the database's recovered
@@ -38,24 +38,6 @@ type versionedSeq interface {
 	Append(e seq.Entry, epoch int64) error
 	Reorganize(kind storage.Kind, epoch int64) error
 }
-
-// memSeq adapts the memory-backed storage.Versioned. The only work is
-// nil conversion: a typed-nil *storage.Snapshot must become an untyped
-// nil interface so the catalog's visibility check fires.
-type memSeq struct{ v *storage.Versioned }
-
-func (m memSeq) SnapshotAt(epoch int64) storage.SeqSnapshot {
-	if s := m.v.SnapshotAt(epoch); s != nil {
-		return s
-	}
-	return nil
-}
-func (m memSeq) LatestEpoch() int64                           { return m.v.LatestEpoch() }
-func (m memSeq) Versions() int                                { return m.v.Versions() }
-func (m memSeq) PageVersions() int                            { return m.v.PageVersions() }
-func (m memSeq) GC(minLive int64) int                         { return m.v.GC(minLive) }
-func (m memSeq) Append(e seq.Entry, epoch int64) error        { return m.v.Append(e, epoch) }
-func (m memSeq) Reorganize(k storage.Kind, epoch int64) error { return m.v.Reorganize(k, epoch) }
 
 // diskSeq adapts one sequence of an attached disk.DB. Mutations go
 // through the database's epoch-explicit entry points so they are
@@ -148,13 +130,12 @@ func materializeSnapshot(ds *disk.Seq) (*seq.Materialized, error) {
 // epoch — the same canonical block readers match against, without
 // recomputing the view's content.
 func (s *Server) reattachView(v *disk.View) error {
-	root, err := parser.Bind(v.SEQL, s.catalogAt(v.Epoch))
+	root, err := parser.Bind(v.SEQL, s.catalogAt(v.Epoch, nil))
 	if err != nil {
 		return err
 	}
-	opts := s.cfg.Options
+	opts := s.planOptions()
 	opts.Views = nil
-	opts.Calibration = s.calib
 	res, err := core.Optimize(root, v.Span, opts)
 	if err != nil {
 		return err

@@ -157,7 +157,7 @@ func TestDiskServerSnapshotIsolationAcrossTier(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := srv.NewSession("t")
-	res, err := sess.optimizeAt(epoch, "s", seq.NewSpan(1, 20))
+	res, err := sess.optimizeAt(epoch, Source{SEQL: "s"}, seq.NewSpan(1, 20), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
-// Package server is the seqd engine: the single-session seqproc library
-// lifted to a concurrent multi-client service with page-level snapshot
-// isolation.
+// Package server is the seqd engine: the one query processor behind
+// both front ends — the seqd wire service and, in-process without
+// sockets, the single-session seqproc library — with page-level
+// snapshot isolation across concurrent clients.
 //
 // A Server owns the shared state — versioned base sequences
 // (storage.Versioned), the global epoch tracker, the materialized-view
@@ -8,22 +9,24 @@
 // model — and hands each client a Session carrying its own planner
 // options. Reads never block writes and writes never block reads:
 //
-//   - Every read turn pins the current epoch and plans against an
-//     epoch-sliced catalog whose leaves are immutable page snapshots
+//   - Every read (Session.Read, which every other read is built on)
+//     pins the current epoch and plans against an epoch-sliced catalog
+//     whose leaves are immutable page snapshots
 //     (storage.Versioned.SnapshotAt) plus an epoch-sliced view registry
 //     (matview.Registry.At). The planlint snapshot/* verifier re-checks
 //     every plan before execution.
-//   - Every write (Append, Reorganize, view registration) runs under one
-//     global writer mutex: it publishes new page versions at epoch
-//     current+1 and only then advances the tracker, so a pinned epoch
-//     always denotes fully-published state.
+//   - Every write (create, append, reorganize, drop, view registration)
+//     runs under one global writer mutex: it publishes new page versions
+//     at epoch current+1, maintains the registered views (maintainBase)
+//     and only then advances the tracker, so a pinned epoch always
+//     denotes fully-published state.
 //
 // Execution is multiplexed onto a bounded worker pool; requests queue
 // when the pool is saturated, and the time spent queuing is reported per
 // query (wire.ResultDone.QueueNs) so operators can size the pool (see
 // docs/OPERATIONS.md). The wire layer lives in conn.go; this file is the
-// engine, directly usable in-process (the concurrency fuzz tests drive
-// it without sockets).
+// engine, directly usable in-process (the library and the concurrency
+// fuzz tests drive it without sockets).
 package server
 
 import (
@@ -68,9 +71,9 @@ type Config struct {
 	// optimization (core.Options.Verify). The snapshot/* family is
 	// checked on every read regardless.
 	Verify bool
-	// Options seeds each new session's planner options. Views and
-	// Calibration are overwritten per request with the server's shared
-	// state.
+	// Options seeds each new session's planner options and configures
+	// view maintenance. A nil Views or Calibration is filled per request
+	// with the server's shared state.
 	Options core.Options
 }
 
@@ -90,12 +93,14 @@ func errf(code wire.ErrorCode, format string, args ...any) *Error {
 
 // serverSeq is one versioned base sequence plus its frozen column
 // statistics (computed at load; appends do not refresh them — the
-// optimizer treats them as estimates). v is memory-backed (memSeq) or,
-// with an attached database, disk-backed (diskSeq); see disk.go.
+// optimizer treats them as estimates). v is memory-backed (Versioned) or,
+// with an attached database, disk-backed (diskSeq); see disk.go. pages
+// accumulates the page accesses of every read's snapshots of it.
 type serverSeq struct {
 	name  string
 	v     versionedSeq
 	stats map[int]expr.ColStats
+	pages storage.Stats
 }
 
 // Server is the shared engine state. See the package comment for the
@@ -125,7 +130,7 @@ type serverSeq struct {
 //seqvet:lockorder leaf server.Server.listenMu
 //seqvet:epochpin advance-under server.Server.wmu
 type Server struct {
-	cfg  Config
+	cfg  Config // cfg.Options is written under wmu and mu (SetOptions)
 	name string
 
 	// disk is the attached durable storage tier; nil for a pure
@@ -200,6 +205,9 @@ func (s *Server) CreateSequence(name string, data *seq.Materialized, kind storag
 	if name == "" {
 		return errf(wire.CodeAppend, "empty sequence name")
 	}
+	if data == nil {
+		return errf(wire.CodeAppend, "sequence %q has no data", name)
+	}
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	s.mu.Lock()
@@ -226,7 +234,7 @@ func (s *Server) CreateSequence(name string, data *seq.Materialized, kind storag
 		if err != nil {
 			return &Error{Code: wire.CodeAppend, Err: err}
 		}
-		vs = memSeq{v}
+		vs = v
 	}
 	ss := &serverSeq{name: name, v: vs, stats: meta.StatsFromMaterialized(data)}
 	s.mu.Lock()
@@ -279,28 +287,58 @@ func (s *Server) Append(name string, pos seq.Pos, rec seq.Record) (int64, error)
 // view whose maintenance fails is invalidated from epoch (never left
 // stale), so the write itself cannot fail here.
 func (s *Server) maintainBase(name string, delta seq.Span, epoch int64) {
-	opts := s.cfg.Options
-	opts.Calibration = s.calib
-	reports, _ := core.MaintainViews(s.views, name, delta, epoch, s.sequenceAt(epoch), opts)
+	reports, _ := core.MaintainViews(s.views, name, delta, epoch, s.sequenceAt(epoch), s.planOptions())
 	s.maintReports = append(s.maintReports, reports...)
+}
+
+// planOptions is the configured planner options with the shared
+// calibration filled in — what view maintenance and view re-attachment
+// plan with. Called under wmu.
+func (s *Server) planOptions() core.Options {
+	opts := s.cfg.Options
+	if opts.Calibration == nil {
+		opts.Calibration = s.calib
+	}
+	return opts
+}
+
+// SetOptions replaces the planner options that configure view
+// maintenance and seed sessions opened afterwards; open sessions keep
+// theirs.
+func (s *Server) SetOptions(opts core.Options) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	s.mu.Lock()
+	s.cfg.Options = opts
+	s.mu.Unlock()
 }
 
 // sequenceAt resolves base names to their snapshots at the epoch — the
 // binding view maintenance and delta evaluation run against.
 func (s *Server) sequenceAt(epoch int64) func(string) (seq.Sequence, bool) {
 	return func(name string) (seq.Sequence, bool) {
-		s.mu.RLock()
-		ss, ok := s.seqs[name]
-		s.mu.RUnlock()
-		if !ok {
-			return nil, false
+		if _, snap := s.snapshotAt(name, epoch, nil); snap != nil {
+			return snap, true
 		}
-		snap := ss.v.SnapshotAt(epoch)
-		if snap == nil {
-			return nil, false
-		}
-		return snap, true
+		return nil, false
 	}
+}
+
+// snapshotAt returns the named sequence and a fresh snapshot of it
+// pinned at the epoch, recorded in bound when bound is non-nil. The
+// snapshot is nil when the sequence does not exist at the epoch.
+func (s *Server) snapshotAt(name string, epoch int64, bound *[]boundLeaf) (*serverSeq, storage.SeqSnapshot) {
+	s.mu.RLock()
+	ss, ok := s.seqs[name]
+	s.mu.RUnlock()
+	if !ok {
+		return nil, nil
+	}
+	snap := ss.v.SnapshotAt(epoch)
+	if snap != nil && bound != nil {
+		*bound = append(*bound, boundLeaf{ss, snap})
+	}
+	return ss, snap
 }
 
 // TakeMaintenanceReports drains the per-view maintenance decisions
@@ -337,6 +375,63 @@ func (s *Server) Reorganize(name string, kind storage.Kind) (int64, error) {
 	return next, nil
 }
 
+// DropSequence removes a base sequence, publishing a new epoch: every
+// view reading it is invalidated from that epoch and, with an attached
+// disk database, the drop is WAL-logged first (the database deletes the
+// persisted views reading it). Readers already holding snapshots of the
+// sequence keep reading them; binds at any epoch after the drop fail.
+// Standing queries over it receive no further deltas.
+func (s *Server) DropSequence(name string) (int64, error) {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	if _, e := s.lookup(name); e != nil {
+		return 0, e
+	}
+	next := s.epochs.Current() + 1
+	if s.disk != nil {
+		if err := s.disk.DropSequenceAt(name, next); err != nil {
+			return 0, &Error{Code: wire.CodeAppend, Err: err}
+		}
+	}
+	s.mu.Lock()
+	delete(s.seqs, name)
+	s.mu.Unlock()
+	s.views.InvalidateBaseFrom(name, next)
+	if err := s.epochs.AdvanceTo(next); err != nil {
+		return 0, &Error{Code: wire.CodeInternal, Err: err}
+	}
+	return next, nil
+}
+
+// PageStats returns the cumulative page-access counters of a base
+// sequence: every read's accesses to it, folded in when the read ends.
+func (s *Server) PageStats(name string) (storage.StatsSnapshot, error) {
+	ss, e := s.lookup(name)
+	if e != nil {
+		return storage.StatsSnapshot{}, e
+	}
+	return ss.pages.Snapshot(), nil
+}
+
+// TakePageStats atomically snapshots and zeroes a base sequence's page
+// counters (see storage.Stats.SnapshotAndReset).
+func (s *Server) TakePageStats(name string) (storage.StatsSnapshot, error) {
+	ss, e := s.lookup(name)
+	if e != nil {
+		return storage.StatsSnapshot{}, e
+	}
+	return ss.pages.SnapshotAndReset(), nil
+}
+
+// ResetPageStats zeroes the page counters of every sequence.
+func (s *Server) ResetPageStats() {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, ss := range s.seqs {
+		ss.pages.Reset()
+	}
+}
+
 // Sequences lists the registered base sequence names, sorted.
 func (s *Server) Sequences() []string {
 	s.mu.RLock()
@@ -358,6 +453,15 @@ func (s *Server) ViewCounters() []matview.Counters {
 		out = append(out, v.Counters())
 	}
 	return out
+}
+
+// VerifyMaintenance re-checks maintenance reports (TakeMaintenanceReports)
+// against the ivm/* invariants over the registered views and the current
+// epoch's snapshots; see planlint.VerifyMaintenance.
+func (s *Server) VerifyMaintenance(reports []matview.MaintenanceReport) []planlint.Issue {
+	s.wmu.Lock()
+	defer s.wmu.Unlock()
+	return planlint.VerifyMaintenance(s.views, s.sequenceAt(s.epochs.Current()), reports)
 }
 
 // DropView removes a materialized view for every session. With an
@@ -398,8 +502,13 @@ func (s *Server) GCOnce() (versions int, views []string) {
 	for _, ss := range seqs {
 		versions += ss.v.GC(minLive)
 	}
-	return versions, s.views.GC(minLive)
+	return versions, s.GCViews()
 }
+
+// GCViews reclaims the invalidated view generations unreachable by any
+// pinned reader, returning their names. It frees the name of a view
+// invalidated by a base write for a new Materialize.
+func (s *Server) GCViews() []string { return s.views.GC(s.epochs.MinLive()) }
 
 // PageVersions sums the distinct page versions retained across all
 // sequences — the marginal memory the MVCC layer holds beyond a
@@ -428,24 +537,61 @@ func (s *Server) acquire() time.Duration {
 
 func (s *Server) release() { <-s.sem }
 
+// boundLeaf is one snapshot a read bound, kept so its page accesses can
+// be folded into the sequence's cumulative counters when the read ends.
+type boundLeaf struct {
+	ss   *serverSeq
+	snap storage.SeqSnapshot
+}
+
 // catalogAt resolves sequence names to snapshot leaves pinned at the
 // epoch: every mention mints a fresh algebra node (query graphs must be
-// trees) over the same immutable page version.
-func (s *Server) catalogAt(epoch int64) parser.Catalog {
+// trees) over a fresh snapshot of the same immutable page version,
+// recorded in bound.
+func (s *Server) catalogAt(epoch int64, bound *[]boundLeaf) parser.Catalog {
 	return parser.CatalogFunc(func(name string) (*algebra.Node, bool) {
-		s.mu.RLock()
-		ss, ok := s.seqs[name]
-		s.mu.RUnlock()
-		if !ok {
-			return nil, false
-		}
-		snap := ss.v.SnapshotAt(epoch)
+		ss, snap := s.snapshotAt(name, epoch, bound)
 		if snap == nil {
-			// Sequence created after this reader pinned: invisible.
+			// Unknown, or created after this reader pinned: invisible.
 			return nil, false
 		}
 		return algebra.BaseWithStats(name, snap, ss.stats), true
 	})
+}
+
+// Source is what a read binds at its pinned epoch: SEQL text, or (when
+// Node is set) an algebra tree whose base leaves are rebound by name to
+// the epoch's snapshots with matview.Rebind.
+type Source struct {
+	SEQL string
+	Node *algebra.Node
+}
+
+// bindAt binds src against the catalog at the epoch, recording the
+// snapshot leaves it mints in bound.
+func (s *Server) bindAt(epoch int64, src Source, bound *[]boundLeaf) (*algebra.Node, error) {
+	if src.Node == nil {
+		root, err := parser.Bind(src.SEQL, s.catalogAt(epoch, bound))
+		if err != nil {
+			return nil, &Error{Code: wire.CodeParse, Err: err}
+		}
+		return root, nil
+	}
+	var missing string
+	root, err := matview.Rebind(src.Node, func(name string) (seq.Sequence, bool) {
+		if _, snap := s.snapshotAt(name, epoch, bound); snap != nil {
+			return snap, true
+		}
+		missing = name
+		return nil, false
+	})
+	if err != nil {
+		return nil, &Error{Code: wire.CodeParse, Err: err}
+	}
+	if missing != "" {
+		return nil, errf(wire.CodeNotFound, "unknown sequence %q", missing)
+	}
+	return root, nil
 }
 
 // baseNames collects the distinct base-sequence names a plan reads.
@@ -469,9 +615,9 @@ func baseNames(root *algebra.Node) []string {
 // ── sessions ────────────────────────────────────────────────────────
 
 // Session is one client's view of the server: private planner options
-// over the shared engine. Sessions are not safe for concurrent use; the
-// protocol is strictly request/response per connection, and in-process
-// callers open one Session per goroutine.
+// over the shared engine. Only SetOption changes a session; its reads
+// may run concurrently with each other. The protocol is strictly
+// request/response per connection.
 type Session struct {
 	srv      *Server
 	opts     core.Options
@@ -481,7 +627,9 @@ type Session struct {
 
 // NewSession opens a session with the server's base options.
 func (s *Server) NewSession(client string) *Session {
+	s.mu.RLock()
 	opts := s.cfg.Options
+	s.mu.RUnlock()
 	opts.Verify = opts.Verify || s.cfg.Verify
 	return &Session{srv: s, opts: opts, useViews: true, client: client}
 }
@@ -534,20 +682,23 @@ func parseOnOff(v string) (bool, error) {
 	}
 }
 
-// optimizeAt parses and optimizes against the epoch-pinned catalog and
-// view slice, then re-verifies the snapshot/* invariants on the result.
-func (sess *Session) optimizeAt(epoch int64, seql string, span seq.Span) (*core.Result, error) {
-	root, err := parser.Bind(seql, sess.srv.catalogAt(epoch))
+// optimizeAt binds src and optimizes it against the epoch-pinned
+// catalog and view slice, then re-verifies the snapshot/* invariants on
+// the result. The snapshot leaves bound are recorded in bound.
+func (sess *Session) optimizeAt(epoch int64, src Source, span seq.Span, bound *[]boundLeaf) (*core.Result, error) {
+	root, err := sess.srv.bindAt(epoch, src, bound)
 	if err != nil {
-		return nil, &Error{Code: wire.CodeParse, Err: err}
+		return nil, err
 	}
 	opts := sess.opts
-	if sess.useViews {
-		opts.Views = sess.srv.views.At(epoch)
-	} else {
+	if !sess.useViews {
 		opts.Views = nil
+	} else if opts.Views == nil {
+		opts.Views = sess.srv.views.At(epoch)
 	}
-	opts.Calibration = sess.srv.calib
+	if opts.Calibration == nil {
+		opts.Calibration = sess.srv.calib
+	}
 	res, err := core.Optimize(root, span, opts)
 	if err != nil {
 		return nil, &Error{Code: wire.CodePlan, Err: err}
@@ -559,6 +710,52 @@ func (sess *Session) optimizeAt(epoch int64, seql string, span seq.Span) (*core.
 		return nil, errf(wire.CodeInternal, "snapshot invariant violated: %s", issues[0])
 	}
 	return res, nil
+}
+
+// Read is the read path every query, probe, explain, analyze and
+// materialization takes. It pins the current epoch for the call, binds
+// src and optimizes it over span against the epoch's snapshots and view
+// slice, verifies the plan, and calls fn with the result while the
+// epoch stays pinned. When fn returns, the page accesses of the read's
+// snapshots are folded into the per-sequence counters (PageStats). It
+// returns the pinned epoch.
+func (sess *Session) Read(src Source, span seq.Span, fn func(*core.Result) error) (int64, error) {
+	srv := sess.srv
+	epoch := srv.epochs.Pin()
+	defer srv.epochs.Release(epoch)
+	var bound []boundLeaf
+	res, err := sess.optimizeAt(epoch, src, span, &bound)
+	if err != nil {
+		return epoch, err
+	}
+	err = fn(res)
+	for _, b := range bound {
+		b.ss.pages.AddSnapshot(b.snap.Stats().Snapshot())
+	}
+	return epoch, err
+}
+
+// Bind binds SEQL against the catalog at the current epoch without
+// planning it: front ends use it to reject bad text early and to show
+// the logical tree.
+func (sess *Session) Bind(seql string) (*algebra.Node, error) {
+	epoch := sess.srv.epochs.Pin()
+	defer sess.srv.epochs.Release(epoch)
+	return sess.srv.bindAt(epoch, Source{SEQL: seql}, nil)
+}
+
+// Probe plans src for probed access over span and evaluates it at the
+// given positions.
+func (sess *Session) Probe(src Source, span seq.Span, positions []seq.Pos) ([]seq.Entry, error) {
+	var out []seq.Entry
+	_, err := sess.Read(src, span, func(res *core.Result) error {
+		var err error
+		if out, err = res.Probe(positions); err != nil {
+			return &Error{Code: wire.CodeExec, Err: err}
+		}
+		return nil
+	})
+	return out, err
 }
 
 // QueryResult is a completed query: the materialized output plus the
@@ -574,66 +771,65 @@ type QueryResult struct {
 // Query plans and runs a SEQL query over the span against a snapshot
 // pinned for the duration of the call.
 func (sess *Session) Query(seql string, span seq.Span) (*QueryResult, error) {
-	epoch := sess.srv.epochs.Pin()
-	defer sess.srv.epochs.Release(epoch)
-	res, err := sess.optimizeAt(epoch, seql, span)
+	srv := sess.srv
+	qr := &QueryResult{}
+	epoch, err := sess.Read(Source{SEQL: seql}, span, func(res *core.Result) error {
+		qr.Queue = srv.acquire()
+		start := time.Now()
+		out, err := res.Run()
+		qr.Elapsed = time.Since(start)
+		srv.release()
+		if err != nil {
+			return &Error{Code: wire.CodeExec, Err: err}
+		}
+		qr.Fields = out.Info().Schema.Fields()
+		qr.Entries = out.Entries()
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	queue := sess.srv.acquire()
-	start := time.Now()
-	out, err := res.Run()
-	elapsed := time.Since(start)
-	sess.srv.release()
-	if err != nil {
-		return nil, &Error{Code: wire.CodeExec, Err: err}
-	}
-	sess.srv.nQueries.Add(1)
-	return &QueryResult{
-		Fields:  out.Info().Schema.Fields(),
-		Entries: out.Entries(),
-		Epoch:   epoch,
-		Elapsed: elapsed,
-		Queue:   queue,
-	}, nil
+	srv.nQueries.Add(1)
+	qr.Epoch = epoch
+	return qr, nil
 }
 
 // Explain returns the rendered plan for the span without executing.
 func (sess *Session) Explain(seql string, span seq.Span) (string, int64, error) {
-	epoch := sess.srv.epochs.Pin()
-	defer sess.srv.epochs.Release(epoch)
-	res, err := sess.optimizeAt(epoch, seql, span)
+	var planned *core.Result
+	epoch, err := sess.Read(Source{SEQL: seql}, span, func(res *core.Result) error {
+		planned = res
+		return nil
+	})
 	if err != nil {
 		return "", 0, err
 	}
-	mode := "stream-access (single scan, cache-finite)"
-	if !res.StreamAccess {
-		mode = "not stream-access (unbounded forward scope)"
-	}
-	text := fmt.Sprintf("plan @epoch %d (stream cost %.2f, per-probe cost %.2f, %s, cache budget %d records):\n%s\nannotated query (span/density propagation):\n%s",
-		epoch, res.Cost.Stream, res.Cost.ProbePer, mode, res.CacheBudget, res.Explain(), res.ExplainMeta())
-	return text, epoch, nil
+	return planned.ExplainText(fmt.Sprintf("plan @epoch %d", epoch)), epoch, nil
 }
 
 // Analyze executes with per-operator instrumentation, feeds the shared
 // cost-model calibration, and appends the server counter block (see
 // docs/OPERATIONS.md, "Server counters").
 func (sess *Session) Analyze(seql string, span seq.Span) (string, int64, error) {
-	epoch := sess.srv.epochs.Pin()
-	defer sess.srv.epochs.Release(epoch)
-	res, err := sess.optimizeAt(epoch, seql, span)
+	srv := sess.srv
+	var a *core.Analysis
+	var queue time.Duration
+	epoch, err := sess.Read(Source{SEQL: seql}, span, func(res *core.Result) error {
+		queue = srv.acquire()
+		var err error
+		a, err = res.RunAnalyze()
+		srv.release()
+		if err != nil {
+			return &Error{Code: wire.CodeExec, Err: err}
+		}
+		return nil
+	})
 	if err != nil {
 		return "", 0, err
 	}
-	queue := sess.srv.acquire()
-	a, err := res.RunAnalyze()
-	sess.srv.release()
-	if err != nil {
-		return "", 0, &Error{Code: wire.CodeExec, Err: err}
-	}
-	sess.srv.nQueries.Add(1)
-	sess.srv.calib.Observe(a.Root)
-	return a.Render() + "\n" + sess.srv.counterBlock(epoch, queue), epoch, nil
+	srv.nQueries.Add(1)
+	srv.calib.Observe(a.Root)
+	return a.Render() + "\n" + srv.counterBlock(epoch, queue), epoch, nil
 }
 
 // counterBlock renders the server-side counters appended to every
@@ -670,27 +866,33 @@ func (sess *Session) Materialize(name, seql string, span seq.Span) (int64, time.
 		return 0, 0, errf(wire.CodeMaterialize, "materialize %q needs a bounded span, got %s", name, span)
 	}
 	srv := sess.srv
-	epoch := srv.epochs.Pin()
-	defer srv.epochs.Release(epoch)
-	res, err := sess.optimizeAt(epoch, seql, span)
-	if err != nil {
-		if se, ok := err.(*Error); ok && se.Code == wire.CodePlan {
-			return 0, 0, &Error{Code: wire.CodeMaterialize, Err: se.Err}
+	var queue time.Duration
+	var planned *core.Result
+	var out *seq.Materialized
+	epoch, err := sess.Read(Source{SEQL: seql}, span, func(res *core.Result) error {
+		queue = srv.acquire()
+		var err error
+		planned = res
+		out, err = res.Run()
+		srv.release()
+		if err != nil {
+			return &Error{Code: wire.CodeExec, Err: err}
 		}
-		return 0, 0, err
+		return nil
+	})
+	if se, ok := err.(*Error); ok && se.Code == wire.CodePlan {
+		return 0, queue, &Error{Code: wire.CodeMaterialize, Err: se.Err}
 	}
-	queue := srv.acquire()
-	out, err := res.Run()
-	srv.release()
 	if err != nil {
-		return 0, queue, &Error{Code: wire.CodeExec, Err: err}
+		return 0, queue, err
 	}
 	// Registration is a write: serialize with appenders and check that
 	// the snapshot the view was computed from is still current for every
 	// base it reads.
 	srv.wmu.Lock()
 	defer srv.wmu.Unlock()
-	for _, base := range baseNames(res.Rewritten) {
+	bases := baseNames(planned.Rewritten)
+	for _, base := range bases {
 		ss, e := srv.lookup(base)
 		if e != nil {
 			return 0, queue, e
@@ -702,30 +904,39 @@ func (sess *Session) Materialize(name, seql string, span seq.Span) (int64, time.
 				base, ss.v.LatestEpoch(), epoch)
 		}
 	}
-	if _, err := srv.views.RegisterAt(name, res.Rewritten, out, res.RunSpan, epoch); err != nil {
+	if _, err := srv.views.RegisterAt(name, planned.Rewritten, out, planned.RunSpan, epoch); err != nil {
 		return 0, queue, &Error{Code: wire.CodeMaterialize, Err: err}
 	}
-	if err := srv.persistView(name, seql, res.RunSpan, epoch, baseNames(res.Rewritten), out); err != nil {
+	if err := srv.persistView(name, seql, planned.RunSpan, epoch, bases, out); err != nil {
 		return 0, queue, &Error{Code: wire.CodeMaterialize, Err: err}
 	}
 	return epoch, queue, nil
 }
 
-// Describe reports one sequence as of a snapshot pinned for this call.
-func (sess *Session) Describe(name string) (*wire.SeqInfo, error) {
-	ss, e := sess.srv.lookup(name)
+// Describe reports one sequence's info and storage kind as of a snapshot
+// pinned for this call.
+func (s *Server) Describe(name string) (seq.Info, storage.Kind, error) {
+	ss, e := s.lookup(name)
 	if e != nil {
-		return nil, e
+		return seq.Info{}, 0, e
 	}
-	epoch := sess.srv.epochs.Pin()
-	defer sess.srv.epochs.Release(epoch)
+	epoch := s.epochs.Pin()
+	defer s.epochs.Release(epoch)
 	snap := ss.v.SnapshotAt(epoch)
 	if snap == nil {
-		return nil, errf(wire.CodeNotFound, "sequence %q not visible at epoch %d", name, epoch)
+		return seq.Info{}, 0, errf(wire.CodeNotFound, "sequence %q not visible at epoch %d", name, epoch)
 	}
-	info := snap.Info()
+	return snap.Info(), snap.Kind(), nil
+}
+
+// Describe reports one sequence in wire form (Server.Describe).
+func (sess *Session) Describe(name string) (*wire.SeqInfo, error) {
+	info, k, err := sess.srv.Describe(name)
+	if err != nil {
+		return nil, err
+	}
 	kind := "sparse"
-	if snap.Kind() == storage.KindDense {
+	if k == storage.KindDense {
 		kind = "dense"
 	}
 	return &wire.SeqInfo{

@@ -390,6 +390,32 @@ func TestCloseUnblocksIdleConnections(t *testing.T) {
 	}
 }
 
+// TestServeAfterClose: a Close that runs before Serve records its
+// listener must still stop Serve, which used to block in Accept forever.
+// Serve returns nil at once and closes the listener it was handed.
+func TestServeAfterClose(t *testing.T) {
+	srv := testServer(t, Config{GCInterval: time.Millisecond}, 10)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		ln.Close()
+		t.Fatal("Serve after Close blocked in Accept")
+	}
+	if _, err := ln.Accept(); err == nil {
+		t.Fatal("Serve left the listener open")
+	}
+}
+
 // TestHostileFrameKeepsServerAlive sends the frame that used to panic
 // the decode path (SetOption with a 2^63-1 string length) straight at a
 // live server: the connection must die with a protocol error while the

@@ -44,7 +44,7 @@ func (s *Server) subscribe(c *conn, seql string, span seq.Span) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
 	epoch := s.epochs.Current()
-	root, err := parser.Bind(seql, s.catalogAt(epoch))
+	root, err := parser.Bind(seql, s.catalogAt(epoch, nil))
 	if err != nil {
 		return &Error{Code: wire.CodeParse, Err: err}
 	}

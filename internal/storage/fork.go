@@ -64,3 +64,11 @@ func (s *Sparse) Fork(stats *Stats) Store {
 	cp.stats = stats
 	return &cp
 }
+
+// Fork implements StatsForker: a view of the same immutable version,
+// counting into stats.
+func (s *Snapshot) Fork(stats *Stats) Store {
+	cp := *s
+	cp.stats = stats
+	return &cp
+}

@@ -46,9 +46,11 @@ type version struct {
 }
 
 // vpage is an immutable page. Sparse-kind versions use entries (sorted,
-// ≤ rpp per page); dense-kind versions use slots (rpp positional slots,
-// nil = Null). epoch records the write that created this page version,
-// for page-version accounting.
+// exactly rpp per page except the last: packVersion fills pages and
+// Append extends the tail page, so flat entry k lives on page k/rpp —
+// the layout sparseBatchCursor relies on); dense-kind versions use
+// slots (rpp positional slots, nil = Null). epoch records the write that
+// created this page version, for page-version accounting.
 type vpage struct {
 	epoch   int64
 	first   seq.Pos // position of entries[0] (sparse) / of slots[0] (dense)
@@ -233,10 +235,10 @@ func collectEntries(ver *version) []seq.Entry {
 	return out
 }
 
-// SnapshotAt returns an immutable snapshot of the newest version
-// published at or before the given epoch, with fresh access counters.
-// It returns nil when the store has no version that old.
-func (v *Versioned) SnapshotAt(epoch int64) *Snapshot {
+// SnapshotAt returns an immutable snapshot (a *Snapshot) of the newest
+// version published at or before the given epoch, with fresh access
+// counters. It returns nil when the store has no version that old.
+func (v *Versioned) SnapshotAt(epoch int64) SeqSnapshot {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
 	i := sort.Search(len(v.versions), func(i int) bool { return v.versions[i].epoch > epoch })
@@ -388,18 +390,24 @@ func (s *Snapshot) Scan(span seq.Span) seq.Cursor {
 	if s.v.kind == KindDense {
 		return &snapDenseCursor{s: s, pos: span.Start, end: span.End, page: -1}
 	}
-	pi := sort.Search(len(s.v.pages), func(i int) bool { return s.v.pages[i].first > span.Start }) - 1
+	pi, j := s.seek(span.Start)
+	return &snapSparseCursor{s: s, pi: pi, j: j, end: span.End, page: -1}
+}
+
+// seek positions a sparse scan at the first entry at or after start,
+// returning its page and in-page index. Entering the middle of the file
+// charges an index descent, exactly as in Sparse.Scan.
+func (s *Snapshot) seek(start seq.Pos) (pi, j int) {
+	pi = sort.Search(len(s.v.pages), func(i int) bool { return s.v.pages[i].first > start }) - 1
 	if pi < 0 {
 		pi = 0
 	}
 	ents := s.v.pages[pi].entries
-	j := sort.Search(len(ents), func(i int) bool { return ents[i].Pos >= span.Start })
+	j = sort.Search(len(ents), func(i int) bool { return ents[i].Pos >= start })
 	if pi > 0 || j > 0 {
-		// Entering the middle of the file requires an index descent,
-		// exactly as in Sparse.Scan.
 		s.stats.RandPages.Add(s.probeDepth())
 	}
-	return &snapSparseCursor{s: s, pi: pi, j: j, end: span.End, page: -1}
+	return pi, j
 }
 
 type snapSparseCursor struct {

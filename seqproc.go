@@ -23,18 +23,17 @@
 package seqproc
 
 import (
+	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/algebra"
 	"repro/internal/core"
 	"repro/internal/exec"
-	"repro/internal/expr"
 	"repro/internal/grouping"
 	"repro/internal/matview"
-	"repro/internal/meta"
-	"repro/internal/parser"
 	"repro/internal/seq"
+	"repro/internal/server"
 	"repro/internal/storage"
 	"repro/internal/storage/disk"
 )
@@ -117,97 +116,75 @@ var (
 	AllSpan     = seq.AllSpan
 )
 
-// DB is a catalog of base sequences plus optimizer configuration.
+// DB is the single-session front end of the seqd engine
+// (internal/server): one in-process server.Server, used without sockets,
+// and one Session over it. The engine holds the catalog, the one write
+// path (create, append, reorganize, drop, materialize — each maintaining
+// the views that read the written base), the one disk attach and the one
+// read path; DB adds the library's options and error messages.
 //
 // A DB is not safe for concurrent mutation: CreateSequence, Drop,
 // Append, SetOptions and Reorganize must be externally synchronized.
 // Read-side operations (Query building, Run, Probe, Explain) may run
 // concurrently with each other; page-access counters are atomic.
 type DB struct {
-	seqs  map[string]*dbSeq
-	opts  Options
-	views *matview.Registry
-	// disk is the durable tier of an Open'd database (persist.go);
-	// nil for New'd in-memory databases.
+	srv  *server.Server
+	sess *server.Session
+	opts Options
+	// disk is the durable tier of an Open'd database (persist.go), kept
+	// to checkpoint and close it; writes reach it only through srv. Nil
+	// for New'd in-memory databases.
 	disk *disk.DB
-	// noIVM disables incremental view maintenance: base writes
-	// invalidate views instead of stitching them (SetViewMaintenance).
-	noIVM bool
-	// maintReports accumulates maintenance decisions until
-	// TakeMaintenanceReports drains them.
-	maintReports []matview.MaintenanceReport
 }
 
-type dbSeq struct {
-	name  string
-	store storage.Store
-	stats map[int]expr.ColStats
-	// dseq is the durable sequence behind store (nil in-memory).
-	// store is then a snapshot of its latest version, re-forked after
-	// every mutation with the same counters so PageStats accumulates
-	// across versions.
-	dseq *disk.Seq
-}
-
-// refresh points store at the latest durable version after a mutation,
-// keeping the accumulated page counters.
-func (s *dbSeq) refresh() {
-	if s.dseq != nil {
-		s.store = s.dseq.Latest().Fork(s.store.Stats())
-	}
-}
-
-// node mints a fresh algebra leaf over the stored sequence. Every
-// mention of a sequence gets its own node so query graphs stay trees
-// (the paper's §2.2 restriction): the top-down span pass assigns each
-// occurrence its own access span, which would be wrong for a shared
-// node (e.g. compose(ibm, offset(ibm, 100)) needs different ranges of
-// ibm on the two paths).
-func (s *dbSeq) node() *algebra.Node {
-	return algebra.BaseWithStats(s.name, s.store, s.stats)
-}
-
-// New creates an empty database with default optimizer options.
+// New creates an empty in-memory database with default optimizer
+// options.
 func New() *DB {
-	return &DB{seqs: make(map[string]*dbSeq), views: matview.New()}
+	srv := server.New(server.Config{Name: "seqproc"})
+	return &DB{srv: srv, sess: srv.NewSession("seqproc")}
 }
 
-// SetOptions replaces the optimizer options used by subsequent queries.
-func (db *DB) SetOptions(opts Options) { db.opts = opts }
+// SetOptions replaces the optimizer options used by subsequent queries
+// and by view maintenance.
+func (db *DB) SetOptions(opts Options) {
+	db.opts = opts
+	db.srv.SetOptions(opts)
+	db.sess = db.srv.NewSession("seqproc")
+}
+
+// libErr strips the engine's wire error code: library callers get the
+// underlying error.
+func libErr(err error) error {
+	var se *server.Error
+	if errors.As(err, &se) {
+		return se.Err
+	}
+	return err
+}
+
+// written finishes a successful write by reclaiming what no reader can
+// need any more: no library read outlives its call. Invalidated view
+// generations go at once on both tiers, so a view name freed by the write
+// can be materialized again and the registry does not grow with writes.
+// An in-memory database also drops superseded sequence versions; a
+// durable one keeps its on-disk versions until GC.
+func (db *DB) written(err error) error {
+	if err != nil {
+		return libErr(err)
+	}
+	if db.disk == nil {
+		db.srv.GCOnce()
+	} else {
+		db.srv.GCViews()
+	}
+	return nil
+}
 
 // CreateSequence registers a base sequence under the given name, packing
 // the materialized data into the chosen storage representation and
 // computing column statistics for the optimizer.
 func (db *DB) CreateSequence(name string, data *seq.Materialized, kind StorageKind) error {
-	if name == "" {
-		return fmt.Errorf("seqproc: empty sequence name")
-	}
-	if _, dup := db.seqs[name]; dup {
-		return fmt.Errorf("seqproc: sequence %q already exists", name)
-	}
-	if db.disk != nil {
-		if err := db.disk.CreateSequence(name, data, kind); err != nil {
-			return err
-		}
-		ds, _ := db.disk.Seq(name)
-		db.seqs[name] = &dbSeq{
-			name:  name,
-			store: ds.Latest().Fork(&storage.Stats{}),
-			stats: meta.StatsFromMaterialized(data),
-			dseq:  ds,
-		}
-		return nil
-	}
-	store, err := storage.FromMaterialized(data, kind, 0)
-	if err != nil {
-		return err
-	}
-	db.seqs[name] = &dbSeq{
-		name:  name,
-		store: store,
-		stats: meta.StatsFromMaterialized(data),
-	}
-	return nil
+	return libErr(db.srv.CreateSequence(name, data, kind))
 }
 
 // MustCreateSequence is CreateSequence panicking on error, for examples
@@ -221,161 +198,61 @@ func (db *DB) MustCreateSequence(name string, data *seq.Materialized, kind Stora
 // DropSequence removes a base sequence, invalidating every view whose
 // block reads it.
 func (db *DB) DropSequence(name string) error {
-	s, ok := db.seqs[name]
-	if !ok {
-		return fmt.Errorf("seqproc: unknown sequence %q", name)
-	}
-	if s.dseq != nil {
-		if err := db.disk.DropSequence(name); err != nil {
-			return err
-		}
-	}
-	delete(db.seqs, name)
-	db.views.InvalidateBase(name)
-	return nil
+	_, err := db.srv.DropSequence(name)
+	return db.written(err)
 }
 
 // Sequences lists the registered sequence names, sorted.
-func (db *DB) Sequences() []string {
-	out := make([]string, 0, len(db.seqs))
-	for name := range db.seqs {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func (db *DB) Sequences() []string { return db.srv.Sequences() }
 
 // Describe returns the schema, span and density of a base sequence.
 func (db *DB) Describe(name string) (seq.Info, error) {
-	s, ok := db.seqs[name]
-	if !ok {
-		return seq.Info{}, fmt.Errorf("seqproc: unknown sequence %q", name)
-	}
-	return s.store.Info(), nil
+	info, _, err := db.srv.Describe(name)
+	return info, libErr(err)
 }
 
 // Append adds a record beyond the end of a sparse base sequence (the
-// dynamic-arrival path of the §5.3 trigger-mode extension).
+// dynamic-arrival path of the §5.3 trigger-mode extension). Views over
+// the sequence are maintained incrementally: the delta halo of the
+// appended position is re-evaluated and stitched in; views not worth
+// stitching are shrunk or invalidated (see SetViewMaintenance).
 func (db *DB) Append(name string, pos Pos, rec Record) error {
-	s, ok := db.seqs[name]
-	if !ok {
-		return fmt.Errorf("seqproc: unknown sequence %q", name)
-	}
-	if s.dseq != nil {
-		// WAL-logged append: durable (or queued for group commit)
-		// before the new version publishes. The disk tier deletes
-		// persisted views reading this base eagerly; the in-memory
-		// registry maintains its generations incrementally.
-		if _, err := db.disk.Append(name, seq.Entry{Pos: pos, Rec: rec}); err != nil {
-			return err
-		}
-		s.refresh()
-		db.maintainBase(name, seq.NewSpan(pos, pos))
-		return nil
-	}
-	sp, ok := s.store.(*storage.Sparse)
-	if !ok {
-		return fmt.Errorf("seqproc: sequence %q is not appendable (use Sparse storage)", name)
-	}
-	if err := sp.Append(seq.Entry{Pos: pos, Rec: rec}); err != nil {
-		return err
-	}
-	// Views over this base are maintained incrementally: the delta halo
-	// of the appended position is re-evaluated and stitched in; views
-	// not worth stitching are shrunk or invalidated.
-	db.maintainBase(name, seq.NewSpan(pos, pos))
-	return nil
+	_, err := db.srv.Append(name, pos, rec)
+	return db.written(err)
 }
 
-// maintainBase runs incremental view maintenance after the named base
-// changed over delta. With maintenance disabled it falls back to the old
-// invalidate-everything behavior; a view whose maintenance fails is
-// invalidated by the planner (never left stale), so the append itself
-// cannot fail here.
-func (db *DB) maintainBase(name string, delta Span) {
-	if db.noIVM {
-		db.views.InvalidateBase(name)
-		return
-	}
-	lookup := func(b string) (seq.Sequence, bool) {
-		s, ok := db.seqs[b]
-		if !ok {
-			return nil, false
-		}
-		return s.store, true
-	}
-	reports, _ := core.MaintainViews(db.views, name, delta, 0, lookup, db.opts)
-	db.maintReports = append(db.maintReports, reports...)
+// SetViewMaintenance toggles incremental view maintenance (default on)
+// through Options.DisableViewMaintenance. When off, Append and
+// Reorganize invalidate every view reading the written base.
+func (db *DB) SetViewMaintenance(on bool) {
+	opts := db.opts
+	opts.DisableViewMaintenance = !on
+	db.SetOptions(opts)
 }
-
-// SetViewMaintenance toggles incremental view maintenance (default on).
-// When off, Append and Reorganize invalidate every view reading the
-// written base, as before.
-func (db *DB) SetViewMaintenance(on bool) { db.noIVM = !on }
 
 // TakeMaintenanceReports drains the accumulated per-view maintenance
 // decisions (delta halo, chosen action, stitch-vs-recompute costs) made
 // by Append and Reorganize since the last call.
 func (db *DB) TakeMaintenanceReports() []matview.MaintenanceReport {
-	out := db.maintReports
-	db.maintReports = nil
-	return out
+	return db.srv.TakeMaintenanceReports()
 }
 
 // Reorganize repacks a base sequence into a different physical
 // representation — the §5.3 suggestion that "it might be efficient to
 // first reorganize their physical representations before running the
 // query". Dense favors probing (O(1) page per probe); Sparse favors
-// scanning at low density and supports Append.
+// scanning at low density and supports Append. Reorganization preserves
+// logical content, so views survive it under maintenance.
 func (db *DB) Reorganize(name string, kind StorageKind) error {
-	s, ok := db.seqs[name]
-	if !ok {
-		return fmt.Errorf("seqproc: unknown sequence %q", name)
-	}
-	if s.dseq != nil {
-		if _, err := db.disk.Reorganize(name, kind); err != nil {
-			return err
-		}
-		s.refresh()
-		// Reorganization preserves logical content: the delta is empty,
-		// so maintenance keeps every view (or invalidates them all when
-		// maintenance is off).
-		db.maintainBase(name, seq.EmptySpan)
-		return nil
-	}
-	info := s.store.Info()
-	entries, err := seq.Collect(s.store.Scan(seq.AllSpan))
-	if err != nil {
-		return err
-	}
-	data, err := seq.NewMaterialized(info.Schema, entries)
-	if err != nil {
-		return err
-	}
-	if info.Span.Bounded() {
-		if data, err = data.WithSpan(info.Span); err != nil {
-			return err
-		}
-	}
-	store, err := storage.FromMaterialized(data, kind, 0)
-	if err != nil {
-		return err
-	}
-	s.store = store
-	// Reorganization preserves logical content (empty delta); views
-	// survive it under maintenance.
-	db.maintainBase(name, seq.EmptySpan)
-	return nil
+	_, err := db.srv.Reorganize(name, kind)
+	return db.written(err)
 }
 
 // PageStats returns the cumulative page-access counters of a base
 // sequence — the experiments' cost ground truth.
 func (db *DB) PageStats(name string) (storage.StatsSnapshot, error) {
-	s, ok := db.seqs[name]
-	if !ok {
-		return storage.StatsSnapshot{}, fmt.Errorf("seqproc: unknown sequence %q", name)
-	}
-	return s.store.Stats().Snapshot(), nil
+	st, err := db.srv.PageStats(name)
+	return st, libErr(err)
 }
 
 // TakePageStats atomically snapshots and zeroes the page-access
@@ -384,30 +261,12 @@ func (db *DB) PageStats(name string) (storage.StatsSnapshot, error) {
 // touches that race the region boundary, so back-to-back regions
 // partition the counts exactly.
 func (db *DB) TakePageStats(name string) (storage.StatsSnapshot, error) {
-	s, ok := db.seqs[name]
-	if !ok {
-		return storage.StatsSnapshot{}, fmt.Errorf("seqproc: unknown sequence %q", name)
-	}
-	return s.store.Stats().SnapshotAndReset(), nil
+	st, err := db.srv.TakePageStats(name)
+	return st, libErr(err)
 }
 
 // ResetPageStats zeroes the page-access counters of every sequence.
-func (db *DB) ResetPageStats() {
-	for _, s := range db.seqs {
-		s.store.Stats().Reset()
-	}
-}
-
-// catalog adapts the DB to the parser's catalog interface.
-func (db *DB) catalog() parser.Catalog {
-	return parser.CatalogFunc(func(name string) (*algebra.Node, bool) {
-		s, ok := db.seqs[name]
-		if !ok {
-			return nil, false
-		}
-		return s.node(), true
-	})
-}
+func (db *DB) ResetPageStats() { db.srv.ResetPageStats() }
 
 // Materialize evaluates a SEQL query over a bounded span and registers
 // the result as a named materialized view. Later queries whose blocks
@@ -419,74 +278,49 @@ func (db *DB) catalog() parser.Catalog {
 // worth it — see SetViewMaintenance); Reorganize preserves content and
 // leaves views intact; DropSequence invalidates them.
 func (db *DB) Materialize(name, seql string, span Span) (ViewCounters, error) {
-	if !span.Bounded() {
-		return ViewCounters{}, fmt.Errorf("seqproc: materialize %q needs a bounded span, got %s", name, span)
+	if _, _, err := db.sess.Materialize(name, seql, span); err != nil {
+		return ViewCounters{}, libErr(err)
 	}
-	q, err := db.Query(seql)
-	if err != nil {
-		return ViewCounters{}, err
+	for _, vc := range db.ListViews() {
+		if vc.Name == name {
+			return vc, nil
+		}
 	}
-	res, err := q.optimize(span)
-	if err != nil {
-		return ViewCounters{}, err
-	}
-	out, err := res.Run()
-	if err != nil {
-		return ViewCounters{}, err
-	}
-	v, err := db.views.Register(name, res.Rewritten, out, res.RunSpan)
-	if err != nil {
-		return ViewCounters{}, err
-	}
-	if err := db.persistView(name, seql, res, out); err != nil {
-		return ViewCounters{}, err
-	}
-	return v.Counters(), nil
+	return ViewCounters{}, fmt.Errorf("seqproc: view %q vanished after materialize", name)
 }
 
-// ListViews returns the usage counters of every registered view, sorted
-// by name.
+// ListViews returns the usage counters of every live materialized view,
+// sorted by name.
 func (db *DB) ListViews() []ViewCounters {
-	views := db.views.Views()
-	out := make([]ViewCounters, 0, len(views))
-	for _, v := range views {
-		out = append(out, v.Counters())
+	var out []ViewCounters
+	for _, vc := range db.srv.ViewCounters() {
+		if vc.InvalidFrom == 0 {
+			out = append(out, vc)
+		}
 	}
 	return out
 }
 
 // DropView removes a materialized view (and its persisted copy, for
 // durable databases).
-func (db *DB) DropView(name string) error {
-	if !db.views.Drop(name) {
-		return fmt.Errorf("seqproc: unknown view %q", name)
-	}
-	if db.disk != nil {
-		// The persisted copy may already be gone: base writes delete
-		// persisted views eagerly.
-		for _, v := range db.disk.Views() {
-			if v.Name == name {
-				return db.disk.DropViewAt(name, db.disk.Epoch())
-			}
-		}
-	}
-	return nil
-}
+func (db *DB) DropView(name string) error { return libErr(db.srv.DropView(name)) }
 
 // Query parses a SEQL query against the catalog. The query is not yet
-// optimized; optimization happens per Run/Probe/ExplainSpan, because the
-// chosen plan depends on the requested range.
+// optimized; each Run/Probe/Explain rebinds its base leaves to the
+// current data and optimizes it, because the chosen plan depends on the
+// requested range and the data may have changed since.
 func (db *DB) Query(seql string) (*Query, error) {
-	root, err := parser.Bind(seql, db.catalog())
+	root, err := db.sess.Bind(seql)
 	if err != nil {
-		return nil, err
+		return nil, libErr(err)
 	}
-	return &Query{db: db, root: root, src: seql}, nil
+	return &Query{db: db, root: root}, nil
 }
 
 // QueryNode wraps an already built algebra graph as a query. It is the
 // programmatic alternative to SEQL for embedders that construct algebra
-// trees directly.
+// trees directly; each call rebinds the graph's base leaves by name to
+// the registered sequences' current data.
 func (db *DB) QueryNode(root *algebra.Node) *Query {
 	return &Query{db: db, root: root}
 }
@@ -495,18 +329,16 @@ func (db *DB) QueryNode(root *algebra.Node) *Query {
 // programmatic graph construction. Each call returns a new node: use a
 // separate leaf per occurrence so the query graph remains a tree.
 func (db *DB) Base(name string) (*algebra.Node, error) {
-	s, ok := db.seqs[name]
-	if !ok {
+	if !slices.Contains(db.srv.Sequences(), name) {
 		return nil, fmt.Errorf("seqproc: unknown sequence %q", name)
 	}
-	return s.node(), nil
+	return db.sess.Bind(name)
 }
 
 // Query is a parsed, bound query.
 type Query struct {
 	db   *DB
 	root *algebra.Node
-	src  string
 }
 
 // Node returns the query's logical algebra graph.
@@ -515,54 +347,46 @@ func (q *Query) Node() *algebra.Node { return q.root }
 // String renders the logical operator tree.
 func (q *Query) String() string { return q.root.String() }
 
-// optimize runs the §4 pipeline for the given range, matching the
-// query's blocks against the DB's materialized views (§3.4–3.5 of
-// DESIGN.md) unless the options name a registry of their own.
-func (q *Query) optimize(span Span) (*core.Result, error) {
-	opts := q.db.opts
-	if opts.Views == nil {
-		opts.Views = q.db.views
-	}
-	return core.Optimize(q.root, span, opts)
+// read rebinds and optimizes the query for the range through the
+// engine's read path — matching its blocks against the materialized
+// views (§3.4–3.5 of DESIGN.md) unless the options name a registry of
+// their own — and hands fn the optimized result.
+func (q *Query) read(span Span, fn func(*core.Result) error) error {
+	_, err := q.db.sess.Read(server.Source{Node: q.root}, span, fn)
+	return libErr(err)
 }
 
 // Run optimizes and evaluates the query over the requested range in
 // stream mode, returning the materialized result.
 func (q *Query) Run(span Span) (*ResultSet, error) {
-	res, err := q.optimize(span)
+	var rs *ResultSet
+	err := q.read(span, func(res *core.Result) error {
+		m, err := res.Run()
+		rs = &ResultSet{mat: m, opt: res}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	m, err := res.Run()
-	if err != nil {
-		return nil, err
-	}
-	return &ResultSet{mat: m, opt: res}, nil
+	return rs, nil
 }
 
 // Probe optimizes for probed access and evaluates the query at the given
 // positions.
 func (q *Query) Probe(span Span, positions []Pos) ([]Entry, error) {
-	res, err := q.optimize(span)
-	if err != nil {
-		return nil, err
-	}
-	return res.Probe(positions)
+	out, err := q.db.sess.Probe(server.Source{Node: q.root}, span, positions)
+	return out, libErr(err)
 }
 
 // Explain returns the physical plan chosen for the given range, with
 // estimated cost and optimizer statistics.
 func (q *Query) Explain(span Span) (string, error) {
-	res, err := q.optimize(span)
-	if err != nil {
-		return "", err
-	}
-	mode := "stream-access (single scan, cache-finite)"
-	if !res.StreamAccess {
-		mode = "not stream-access (unbounded forward scope)"
-	}
-	return fmt.Sprintf("plan (stream cost %.2f, per-probe cost %.2f, %s, cache budget %d records):\n%s\nannotated query (span/density propagation):\n%s",
-		res.Cost.Stream, res.Cost.ProbePer, mode, res.CacheBudget, res.Explain(), res.ExplainMeta()), nil
+	var text string
+	err := q.read(span, func(res *core.Result) error {
+		text = res.ExplainText("plan")
+		return nil
+	})
+	return text, err
 }
 
 // RunAnalyze optimizes and evaluates the query over the requested range
@@ -571,11 +395,13 @@ func (q *Query) Explain(span Span) (string, error) {
 // result as Run (same plan, fresh operator caches); the metrics add
 // per-record overhead, so use Run for timing-sensitive evaluation.
 func (q *Query) RunAnalyze(span Span) (*Analysis, error) {
-	res, err := q.optimize(span)
-	if err != nil {
-		return nil, err
-	}
-	return res.RunAnalyze()
+	var a *Analysis
+	err := q.read(span, func(res *core.Result) error {
+		var err error
+		a, err = res.RunAnalyze()
+		return err
+	})
+	return a, err
 }
 
 // ExplainAnalyze runs the query over the given range with per-operator
@@ -594,21 +420,22 @@ func (q *Query) ExplainAnalyze(span Span) (string, error) {
 // estimates: the total stream-evaluation cost and the per-probe cost,
 // in sequential-page-read units.
 func (q *Query) EstimatedCost(span Span) (stream, probePer float64, err error) {
-	res, err := q.optimize(span)
-	if err != nil {
-		return 0, 0, err
-	}
-	return res.Cost.Stream, res.Cost.ProbePer, nil
+	err = q.read(span, func(res *core.Result) error {
+		stream, probePer = res.Cost.Stream, res.Cost.ProbePer
+		return nil
+	})
+	return stream, probePer, err
 }
 
 // Stats optimizes the query for the range and returns the optimizer
 // counters (rules fired, blocks, DP plans evaluated/stored).
 func (q *Query) Stats(span Span) (OptStats, error) {
-	res, err := q.optimize(span)
-	if err != nil {
-		return OptStats{}, err
-	}
-	return res.Stats, nil
+	var st OptStats
+	err := q.read(span, func(res *core.Result) error {
+		st = res.Stats
+		return nil
+	})
+	return st, err
 }
 
 // ResultSet is a materialized query result.

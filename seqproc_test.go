@@ -188,8 +188,22 @@ func TestResultMaterializedRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAppendAndMonitor runs on both tiers: a Monitor, and a Query, built
+// before an Append must see the appended record — durable databases
+// used to keep serving the version current when the query was built.
 func TestAppendAndMonitor(t *testing.T) {
-	db := New()
+	t.Run("memory", func(t *testing.T) { testAppendAndMonitor(t, New()) })
+	t.Run("disk", func(t *testing.T) {
+		db, err := Open(t.TempDir(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		testAppendAndMonitor(t, db)
+	})
+}
+
+func testAppendAndMonitor(t *testing.T, db *DB) {
 	quakes, err := seq.NewMaterialized(workload.QuakeSchema, []seq.Entry{
 		{Pos: 1, Rec: Record{Float(6.0)}},
 	})
@@ -199,6 +213,10 @@ func TestAppendAndMonitor(t *testing.T) {
 	db.MustCreateSequence("quakes", quakes, Sparse)
 
 	mon, err := db.Monitor("select(quakes, strength > 7.0)", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	early, err := db.Query("select(quakes, strength > 7.0)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,6 +244,13 @@ func TestAppendAndMonitor(t *testing.T) {
 	}
 	if mon.Position() != 7 {
 		t.Errorf("position = %d", mon.Position())
+	}
+	res, err := early.Run(NewSpan(1, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Entries(); len(got) != 1 || got[0].Pos != 5 {
+		t.Errorf("query built before the appends = %v", got)
 	}
 	// Polling backward is a no-op.
 	out, _ = mon.Poll(3)

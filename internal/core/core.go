@@ -177,27 +177,41 @@ type Result struct {
 }
 
 // Run executes the stream plan over the run span and materializes the
-// output (the Start operator of Figure 6). With Options.Reopt enabled
-// the run is monitored and may splice in a replanned tail (RunReopt).
+// output (the Start operator of Figure 6): Drain into entries. With
+// Options.Reopt enabled the run is monitored and may splice in a
+// replanned tail (RunReopt).
 func (r *Result) Run() (*seq.Materialized, error) {
+	return exec.Collect(r.Plan.Info().Schema, r.RunSpan, r.Drain)
+}
+
+// Drain executes the stream plan over the run span and streams the
+// output rows into sinks: sink is called once per output range in
+// position order — once for a serial run, once per partition of a
+// partitioned batch run — and the rows of each range go to its sink.
+// The reoptimizing and scalar paths materialize first and pass their
+// entries to a single sink.
+func (r *Result) Drain(sink func(seq.Span) exec.BatchSink) error {
 	if !r.RunSpan.Bounded() && !r.RunSpan.IsEmpty() {
-		return nil, fmt.Errorf("core: query output span %v is unbounded; request a bounded range", r.RunSpan)
+		return fmt.Errorf("core: query output span %v is unbounded; request a bounded range", r.RunSpan)
 	}
-	if r.opts.Reopt.Enabled {
-		out, _, err := r.RunReoptWith(r.opts.Reopt)
-		return out, err
+	if r.opts.Batch.Enabled() && !r.opts.Reopt.Enabled {
+		return parallel.DrainBatches(r.Plan, r.RunSpan, r.Parallel, seq.NewBatchCtx(), sink)
 	}
-	if r.opts.Batch.Enabled() {
-		ctx := seq.NewBatchCtx()
-		if r.Parallel.Parallel() {
-			return parallel.RunBatch(r.Plan, r.RunSpan, r.Parallel, ctx)
-		}
-		return exec.RunBatch(r.Plan, r.RunSpan, ctx)
+	var out *seq.Materialized
+	var err error
+	switch {
+	case r.opts.Reopt.Enabled:
+		out, _, err = r.RunReoptWith(r.opts.Reopt)
+	case r.Parallel.Parallel():
+		out, err = parallel.Run(r.Plan, r.RunSpan, r.Parallel)
+	default:
+		out, err = exec.Run(r.Plan, r.RunSpan)
 	}
-	if r.Parallel.Parallel() {
-		return parallel.Run(r.Plan, r.RunSpan, r.Parallel)
+	if err != nil {
+		return err
 	}
-	return exec.Run(r.Plan, r.RunSpan)
+	sink(r.RunSpan).AppendEntries(out.Entries())
+	return nil
 }
 
 // Probe evaluates the query at specific positions using the probed plan

@@ -7,6 +7,7 @@
 package exec
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/expr"
@@ -36,57 +37,154 @@ func (m BatchMode) String() string {
 	return "auto"
 }
 
-// RunBatch drains the plan in batch mode over the given bounded span and
-// materializes the result — the vectorized counterpart of Run. Batch
-// producers emit entries in strictly ascending position order, so the
-// result skips NewMaterialized's sort and is assembled with a single
-// verification pass.
-func RunBatch(p Plan, span seq.Span, ctx *seq.BatchCtx) (*seq.Materialized, error) {
-	entries, err := CollectBatchesIn(BatchScanOf(p, span, ctx), ctx, span)
+// BatchSink consumes the rows of a drained plan: AppendBatch takes a
+// columnar batch's valid rows (the batch is only valid during the call;
+// string handles resolve through in), AppendEntries takes rows a path
+// already materialized. EntrySink boxes rows into entries; the wire
+// layer's RowsEncoder encodes them into result frames.
+type BatchSink interface {
+	AppendBatch(b *seq.Batch, in *seq.Intern)
+	AppendEntries(entries []seq.Entry)
+}
+
+// EntrySink is the BatchSink that boxes rows into Entries.
+type EntrySink struct {
+	Entries []seq.Entry
+	span    seq.Span // the drained span, a sizing hint
+}
+
+// NewEntrySink returns an empty sink for a drain over span. The entry
+// slice is presized by extrapolating the first non-empty batch's row
+// density across span, replacing the append-doubling growth (and its
+// copying) with one allocation on uniform outputs.
+func NewEntrySink(span seq.Span) *EntrySink { return &EntrySink{span: span} }
+
+// AppendBatch implements BatchSink.
+func (s *EntrySink) AppendBatch(b *seq.Batch, in *seq.Intern) {
+	if s.Entries == nil {
+		valid := b.ValidRows()
+		est := valid
+		if bl, tl := b.Span.Len(), s.span.Len(); bl > 0 && tl > bl {
+			const maxPresize = 1 << 20 // cap a wild extrapolation at 32MB of headers
+			if e := float64(valid) * float64(tl) / float64(bl); e > float64(est) {
+				est = int(min(e, maxPresize))
+			}
+		}
+		s.Entries = make([]seq.Entry, 0, est)
+	}
+	s.Entries = b.AppendEntries(s.Entries, in)
+}
+
+// AppendEntries implements BatchSink. Entries handed to an empty sink
+// are kept, not copied: they come from an immutable materialized result.
+func (s *EntrySink) AppendEntries(entries []seq.Entry) {
+	if s.Entries == nil {
+		s.Entries = entries
+		return
+	}
+	s.Entries = append(s.Entries, entries...)
+}
+
+// Collect runs drain, which calls sink once per output range in position
+// order, and materializes the concatenated rows. span is the whole
+// drain's span: the first range's sink is presized for all of it, so the
+// later ranges' rows append to its entries without copying them when
+// the estimate holds.
+func Collect(schema *seq.Schema, span seq.Span, drain func(sink func(seq.Span) BatchSink) error) (*seq.Materialized, error) {
+	var sinks []*EntrySink
+	err := drain(func(part seq.Span) BatchSink {
+		if len(sinks) == 0 {
+			part = span
+		}
+		s := NewEntrySink(part)
+		sinks = append(sinks, s)
+		return s
+	})
 	if err != nil {
 		return nil, err
 	}
-	return seq.FromSortedEntries(p.Info().Schema, entries)
+	var entries []seq.Entry
+	for i, s := range sinks {
+		if i == 0 {
+			entries = s.Entries
+		} else {
+			entries = append(entries, s.Entries...)
+		}
+	}
+	return seq.FromSortedEntries(schema, entries)
 }
 
-// CollectBatches drains a batch cursor into entries, closing it. The
-// context's run counters account the consumed batches and valid rows.
+// RunBatch drains the plan in batch mode over the given bounded span and
+// materializes the result — the vectorized counterpart of Run. Batch
+// producers emit entries in strictly ascending position order, so the
+// result skips NewMaterialized's sort.
+func RunBatch(p Plan, span seq.Span, ctx *seq.BatchCtx) (*seq.Materialized, error) {
+	return Collect(p.Info().Schema, span, func(sink func(seq.Span) BatchSink) error {
+		_, err := DrainBatches(BatchScanOf(p, span, ctx), ctx, sink(span))
+		return err
+	})
+}
+
+// CollectBatches drains a batch cursor into entries, closing it.
 func CollectBatches(cur seq.BatchCursor, ctx *seq.BatchCtx) ([]seq.Entry, error) {
-	return CollectBatchesIn(cur, ctx, seq.EmptySpan)
+	s := NewEntrySink(seq.EmptySpan)
+	_, err := DrainBatches(cur, ctx, s)
+	return s.Entries, err
 }
 
-// CollectBatchesIn is CollectBatches with the scan's total span supplied
-// as a sizing hint: the result slice is presized by extrapolating the
-// first non-empty batch's row density across the whole span, replacing
-// the append-doubling growth (and its copying) with one allocation on
-// uniform outputs.
-func CollectBatchesIn(cur seq.BatchCursor, ctx *seq.BatchCtx, span seq.Span) ([]seq.Entry, error) {
+// DrainBatches drains a batch cursor into sink, closing it, and returns
+// the span from the first to the last row it passed on (empty when
+// none). The context's run counters account the consumed batches and
+// valid rows.
+//
+// Every row is checked on its way through: a valid row must carry a
+// record (a schema without fields can only carry Null), and positions
+// must be strictly ascending and representable. A violation is an
+// operator bug and ends the drain with an error.
+func DrainBatches(cur seq.BatchCursor, ctx *seq.BatchCtx, sink BatchSink) (seq.Span, error) {
 	defer cur.Close()
-	var out []seq.Entry
+	rows := seq.EmptySpan
 	for {
 		b, ok := cur.NextBatch()
 		if !ok {
 			break
 		}
 		ctx.Batches++
-		valid := b.ValidRows()
-		ctx.Rows += int64(valid)
-		if out == nil && valid > 0 {
-			est := valid
-			if bl, tl := b.Span.Len(), span.Len(); bl > 0 && tl > bl {
-				const maxPresize = 1 << 20 // cap a wild extrapolation at 32MB of headers
-				if e := float64(valid) * float64(tl) / float64(bl); e > float64(est) {
-					if e > maxPresize {
-						e = maxPresize
-					}
-					est = int(e)
-				}
-			}
-			out = make([]seq.Entry, 0, est)
+		valid, err := checkRows(b, &rows)
+		if err != nil {
+			return rows, err
 		}
-		out = b.AppendEntries(out, ctx.Intern)
+		if valid > 0 {
+			ctx.Rows += int64(valid)
+			sink.AppendBatch(b, ctx.Intern)
+		}
 	}
-	return out, cur.Err()
+	return rows, cur.Err()
+}
+
+// checkRows verifies that the batch's valid rows continue the stream
+// whose rows so far span *rows, extends *rows over them, and returns
+// their count.
+func checkRows(b *seq.Batch, rows *seq.Span) (int, error) {
+	n, valid := len(b.Pos), 0
+	for i := b.Valid.NextSet(0, n); i < n; i = b.Valid.NextSet(i+1, n) {
+		pos := b.Pos[i]
+		if len(b.Cols) == 0 {
+			return valid, fmt.Errorf("exec: Null record at position %d in batch output", pos)
+		}
+		if !rows.IsEmpty() && pos <= rows.End {
+			return valid, fmt.Errorf("exec: batch output not strictly ascending: %d after %d", pos, rows.End)
+		}
+		if pos <= seq.MinPos || pos >= seq.MaxPos {
+			return valid, fmt.Errorf("exec: position %d out of representable range", pos)
+		}
+		if rows.IsEmpty() {
+			rows.Start = pos
+		}
+		rows.End = pos
+		valid++
+	}
+	return valid, nil
 }
 
 // BatchScanOf opens a batch-mode stream scan on the plan. Converted

@@ -10,25 +10,40 @@ import (
 	"repro/internal/storage"
 )
 
-// RunBatch is the vectorized counterpart of Run: each partition worker
-// drives the batch pipeline over its sub-span with a private forked
-// context — same batch size, its own intern table, so handle spaces
-// never cross goroutines — and the per-worker batch and intern counters
-// are folded back into ctx after the join. The legality argument is
-// unchanged (batch evaluation produces the identical record stream, so
-// partition concatenation still reconstructs the serial scan); a serial
-// decision or an uncloneable plan falls back to single-context batch
-// evaluation.
+// RunBatch is the vectorized counterpart of Run: DrainBatches into
+// entries, materialized.
 func RunBatch(p exec.Plan, span seq.Span, d *Decision, ctx *seq.BatchCtx) (*seq.Materialized, error) {
-	if !d.Parallel() {
-		return exec.RunBatch(p, span, ctx)
+	return exec.Collect(p.Info().Schema, span, func(sink func(seq.Span) exec.BatchSink) error {
+		return DrainBatches(p, span, d, ctx, sink)
+	})
+}
+
+// DrainBatches runs the plan in batch mode over span and streams its rows
+// into sinks: sink is called once per partition, in partition order,
+// before any worker starts, and each worker drains its partition into
+// its own sink. Each worker drives the batch pipeline with a private
+// forked context — same batch size, its own intern table, so handle
+// spaces never cross goroutines — and the per-worker batch and intern
+// counters are folded back into ctx after the join. The legality
+// argument is unchanged (batch evaluation produces the identical record
+// stream, so partition concatenation still reconstructs the serial
+// scan); a serial decision or an uncloneable plan drains one sink over
+// the whole span under ctx.
+func DrainBatches(p exec.Plan, span seq.Span, d *Decision, ctx *seq.BatchCtx, sink func(seq.Span) exec.BatchSink) error {
+	var clones []exec.Plan
+	if d.Parallel() {
+		clones, _ = CloneWorkers(p, len(d.Partitions))
 	}
-	clones, err := CloneWorkers(p, len(d.Partitions))
-	if err != nil {
-		return exec.RunBatch(p, span, ctx)
+	if clones == nil {
+		_, err := exec.DrainBatches(exec.BatchScanOf(p, span, ctx), ctx, sink(span))
+		return err
 	}
 	k := len(d.Partitions)
-	results := make([][]seq.Entry, k)
+	sinks := make([]exec.BatchSink, k)
+	for i, part := range d.Partitions {
+		sinks[i] = sink(part)
+	}
+	rows := make([]seq.Span, k)
 	errs := make([]error, k)
 	wctxs := make([]*seq.BatchCtx, k)
 	var wg sync.WaitGroup
@@ -37,29 +52,31 @@ func RunBatch(p exec.Plan, span seq.Span, d *Decision, ctx *seq.BatchCtx) (*seq.
 		wg.Add(1)
 		go func(i int, part seq.Span) {
 			defer wg.Done()
-			results[i], errs[i] = exec.CollectBatchesIn(exec.BatchScanOf(clones[i], part, wctxs[i]), wctxs[i], part)
+			rows[i], errs[i] = exec.DrainBatches(exec.BatchScanOf(clones[i], part, wctxs[i]), wctxs[i], sinks[i])
 		}(i, part)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
 	for _, w := range wctxs {
 		ctx.AbsorbCounters(w)
 	}
-	total := 0
-	for _, r := range results {
-		total += len(r)
+	// Each worker checked its own rows; the partitions' rows must also
+	// follow one another.
+	last := seq.EmptySpan
+	for _, r := range rows {
+		if r.IsEmpty() {
+			continue
+		}
+		if !last.IsEmpty() && r.Start <= last.End {
+			return fmt.Errorf("parallel: partition output not strictly ascending: %d after %d", r.Start, last.End)
+		}
+		last = r
 	}
-	all := make([]seq.Entry, 0, total)
-	for _, r := range results {
-		all = append(all, r...)
-	}
-	// Partition outputs are disjoint ascending sub-spans concatenated in
-	// order, so the merged stream is already sorted and verified.
-	return seq.FromSortedEntries(p.Info().Schema, all)
+	return nil
 }
 
 // RunAnalyzeBatch is the vectorized counterpart of RunAnalyze: per-worker
@@ -75,7 +92,7 @@ func RunAnalyzeBatch(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Pla
 		pred = func(exec.Plan) exec.PredictedCost { return exec.PredictedCost{} }
 	}
 	k := len(d.Partitions)
-	results := make([][]seq.Entry, k)
+	results := make([]*exec.EntrySink, k)
 	errs := make([]error, k)
 	roots := make([]*exec.NodeMetrics, k)
 	parts := make([]PartitionMetrics, k)
@@ -103,12 +120,13 @@ func RunAnalyzeBatch(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Pla
 		instr, root := exec.Instrument(clone, predClone)
 		roots[i] = root
 		wctxs[i] = ctx.Fork()
+		results[i] = exec.NewEntrySink(part)
 		wg.Add(1)
 		go func(i int, part seq.Span) {
 			defer wg.Done()
 			start := time.Now()
-			results[i], errs[i] = exec.CollectBatchesIn(exec.BatchScanOf(instr, part, wctxs[i]), wctxs[i], part)
-			parts[i] = PartitionMetrics{Span: part, Rows: int64(len(results[i])), Elapsed: time.Since(start)}
+			_, errs[i] = exec.DrainBatches(exec.BatchScanOf(instr, part, wctxs[i]), wctxs[i], results[i])
+			parts[i] = PartitionMetrics{Span: part, Rows: int64(len(results[i].Entries)), Elapsed: time.Since(start)}
 		}(i, part)
 	}
 	wg.Wait()
@@ -138,11 +156,11 @@ func RunAnalyzeBatch(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Pla
 	}
 	total := 0
 	for _, r := range results {
-		total += len(r)
+		total += len(r.Entries)
 	}
 	all := make([]seq.Entry, 0, total)
 	for _, r := range results {
-		all = append(all, r...)
+		all = append(all, r.Entries...)
 	}
 	out, err := seq.FromSortedEntries(p.Info().Schema, all)
 	if err != nil {

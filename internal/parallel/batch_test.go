@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/exec"
@@ -145,5 +146,39 @@ func TestRunAnalyzeBatchPartitions(t *testing.T) {
 	// A serial decision is the caller's bug.
 	if _, _, _, err := RunAnalyzeBatch(p, span, &Decision{}, nil, ctx); err == nil {
 		t.Error("serial decision accepted")
+	}
+}
+
+// spanBlind answers every scan with all of its records, whatever span
+// was asked for: a broken leaf whose partitions overlap.
+type spanBlind struct{ m *seq.Materialized }
+
+func (s spanBlind) Info() seq.Info                      { return s.m.Info() }
+func (s spanBlind) Scan(seq.Span) seq.Cursor            { return s.m.Scan(seq.AllSpan) }
+func (s spanBlind) Probe(p seq.Pos) (seq.Record, error) { return s.m.Probe(p) }
+
+// TestDrainBatchesRejectsOverlappingPartitions gives every partition the
+// same rows: each worker's stream is ascending on its own, so only the
+// check across partitions can catch it.
+func TestDrainBatchesRejectsOverlappingPartitions(t *testing.T) {
+	schema := seq.MustSchema(seq.Field{Name: "v", Type: seq.TInt})
+	var es []seq.Entry
+	for p := int64(1); p <= 100; p++ {
+		es = append(es, seq.Entry{Pos: p, Rec: seq.Record{seq.Int(p)}})
+	}
+	m, err := seq.NewMaterialized(schema, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := exec.NewLeaf("s", spanBlind{m}, seq.AllSpan)
+	span := seq.NewSpan(1, 100)
+	d, err := ForceK(p, span, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := func(part seq.Span) exec.BatchSink { return exec.NewEntrySink(part) }
+	err = DrainBatches(p, span, d, seq.NewBatchCtx(), sink)
+	if err == nil || !strings.Contains(err.Error(), "partition output not strictly ascending") {
+		t.Fatalf("overlapping partition outputs gave %v", err)
 	}
 }

@@ -51,12 +51,16 @@ func (t Type) Numeric() bool { return t == TInt || t == TFloat }
 // Value is a single atomic value: a tagged union over the atomic types.
 // The zero Value has type TInvalid and is not a legal attribute value;
 // record-level absence is expressed by the Null record, not by values.
+//
+// T and b sit side by side so the struct packs into 40 bytes: every
+// boxed record, materialized result and decoded wire row is a slab of
+// these.
 type Value struct {
 	T Type
+	b bool
 	i int64
 	f float64
 	s string
-	b bool
 }
 
 // Int returns an integer value.

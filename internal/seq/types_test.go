@@ -2,6 +2,7 @@ package seq
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -163,5 +164,14 @@ func TestCompareConsistentWithFloatOrder(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValueSize pins the packed layout: records, materialized results
+// and decoded wire rows are slabs of Values, so a field added in the
+// wrong place costs 8 bytes per value everywhere.
+func TestValueSize(t *testing.T) {
+	if got := reflect.TypeOf(Value{}).Size(); got != 40 {
+		t.Fatalf("Value is %d bytes, want 40", got)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/seq"
 	"repro/internal/wire"
 )
@@ -131,9 +133,14 @@ type conn struct {
 	srv  *Server
 	sess *Session
 	nc   net.Conn
-	r    *bufio.Reader
+	fr   *wire.FrameReader
 	w    *bufio.Writer
 	wm   sync.Mutex // guards w; frames from both sides interleave whole
+
+	// encs are the row encoders of the query being served, one per
+	// output range, kept for the next query.
+	encs  []*wire.RowsEncoder
+	nencs int
 }
 
 func (c *conn) send(m wire.Message) error {
@@ -158,6 +165,25 @@ func (c *conn) push(m wire.Message) error {
 		return err
 	}
 	return c.w.Flush()
+}
+
+// rowSink hands the query being served its next row encoder.
+func (c *conn) rowSink(seq.Span) exec.BatchSink {
+	if c.nencs == len(c.encs) {
+		c.encs = append(c.encs, &wire.RowsEncoder{})
+	}
+	e := c.encs[c.nencs]
+	c.nencs++
+	e.Reset()
+	return e
+}
+
+// sendFrame writes one frame that is already encoded.
+func (c *conn) sendFrame(frame []byte) error {
+	c.wm.Lock()
+	defer c.wm.Unlock()
+	_, err := c.w.Write(frame)
+	return err
 }
 
 // ready ends the turn: flush everything buffered plus the turn marker.
@@ -197,7 +223,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	c := &conn{
 		srv: s,
 		nc:  nc,
-		r:   bufio.NewReader(nc),
+		fr:  wire.NewFrameReader(bufio.NewReader(nc), s.cfg.MaxFrame),
 		w:   bufio.NewWriter(nc),
 	}
 	defer s.dropConnSubs(c)
@@ -207,7 +233,7 @@ func (s *Server) handleConn(nc net.Conn) {
 	s.nSessions.Add(1)
 	defer s.nSessions.Add(-1)
 	for !s.closed.Load() {
-		m, err := wire.ReadMessage(c.r, s.cfg.MaxFrame)
+		m, err := c.fr.Read()
 		if err != nil {
 			// EOF without Close is a dropped client, not a protocol
 			// error worth answering.
@@ -223,13 +249,14 @@ func (s *Server) handleConn(nc net.Conn) {
 		if err := c.serve(m); err != nil {
 			return // connection-level write failure
 		}
+		c.fr.Trim()
 	}
 }
 
 // handshake performs Hello/HelloAck. A version below the minimum gets an
 // Error frame and a closed connection.
 func (c *conn) handshake() bool {
-	m, err := wire.ReadMessage(c.r, c.srv.cfg.MaxFrame)
+	m, err := c.fr.Read()
 	if err != nil {
 		return false
 	}
@@ -263,26 +290,39 @@ func (c *conn) handshake() bool {
 func (c *conn) serve(m wire.Message) error {
 	switch req := m.(type) {
 	case *wire.Query:
-		res, err := c.sess.Query(req.SEQL, seq.NewSpan(seq.Pos(req.Start), seq.Pos(req.End)))
+		// The rows are encoded into frames under the worker slot; the
+		// slot is free again before the first byte is written, so a
+		// slow reader never holds one.
+		c.nencs = 0
+		res, err := c.sess.runQuery(req.SEQL, seq.NewSpan(seq.Pos(req.Start), seq.Pos(req.End)),
+			func(res *core.Result) error { return res.Drain(c.rowSink) })
 		if err != nil {
 			return c.fail(err)
+		}
+		encs := c.encs[:c.nencs]
+		rows := 0
+		for _, e := range encs {
+			rows += e.Rows()
+		}
+		done := &wire.ResultDone{
+			Rows:      uint64(rows),
+			Epoch:     res.Epoch,
+			ElapsedNs: uint64(res.Elapsed.Nanoseconds()),
+			QueueNs:   uint64(res.Queue.Nanoseconds()),
 		}
 		if err := c.send(&wire.ResultHeader{Fields: res.Fields, Epoch: res.Epoch}); err != nil {
 			return err
 		}
-		// Batches are bounded by encoded size as well as row count so a
-		// string-heavy result cannot produce a frame the client's
-		// MaxFrame check rejects.
-		for _, batch := range wire.SplitRows(res.Entries) {
-			if err := c.send(&wire.ResultRows{Entries: batch}); err != nil {
-				return err
+		// Frame by frame, as every response is written: a delta pushed
+		// for this connection's subscriptions waits for one frame, not
+		// for the whole result to reach a slow reader.
+		for _, e := range encs {
+			for _, frame := range e.Frames() {
+				if err := c.sendFrame(frame); err != nil {
+					return err
+				}
 			}
-		}
-		done := &wire.ResultDone{
-			Rows:      uint64(len(res.Entries)),
-			Epoch:     res.Epoch,
-			ElapsedNs: uint64(res.Elapsed.Nanoseconds()),
-			QueueNs:   uint64(res.Queue.Nanoseconds()),
+			e.Reset()
 		}
 		if err := c.send(done); err != nil {
 			return err

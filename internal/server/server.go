@@ -58,8 +58,9 @@ type Config struct {
 	// Name identifies the server in HelloAck (default "seqd").
 	Name string
 	// Workers bounds the number of concurrently executing requests;
-	// 0 selects runtime.GOMAXPROCS(0). Planning and result encoding do
-	// not occupy a worker slot — only execution does.
+	// 0 selects runtime.GOMAXPROCS(0). Planning and sending results do
+	// not occupy a worker slot — execution and encoding the result
+	// frames do.
 	Workers int
 	// MaxFrame bounds incoming frames; 0 selects wire.DefaultMaxFrame.
 	MaxFrame int
@@ -771,19 +772,35 @@ type QueryResult struct {
 // Query plans and runs a SEQL query over the span against a snapshot
 // pinned for the duration of the call.
 func (sess *Session) Query(seql string, span seq.Span) (*QueryResult, error) {
+	var out *seq.Materialized
+	qr, err := sess.runQuery(seql, span, func(res *core.Result) (err error) {
+		out, err = res.Run()
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	qr.Entries = out.Entries()
+	return qr, nil
+}
+
+// runQuery plans a query and calls run with the plan under a worker
+// slot, so Elapsed covers all that run does: executing, and for the wire
+// path encoding the rows. Fields, the epoch and the timings are filled
+// in; the rows are run's business.
+func (sess *Session) runQuery(seql string, span seq.Span, run func(*core.Result) error) (*QueryResult, error) {
 	srv := sess.srv
 	qr := &QueryResult{}
 	epoch, err := sess.Read(Source{SEQL: seql}, span, func(res *core.Result) error {
 		qr.Queue = srv.acquire()
 		start := time.Now()
-		out, err := res.Run()
+		err := run(res)
 		qr.Elapsed = time.Since(start)
 		srv.release()
 		if err != nil {
 			return &Error{Code: wire.CodeExec, Err: err}
 		}
-		qr.Fields = out.Info().Schema.Fields()
-		qr.Entries = out.Entries()
+		qr.Fields = res.Plan.Info().Schema.Fields()
 		return nil
 	})
 	if err != nil {

@@ -28,7 +28,7 @@ func (e *ServerError) Error() string {
 // ReadDelta pops the queue or blocks reading the connection.
 type Client struct {
 	conn    net.Conn
-	r       *bufio.Reader
+	fr      *FrameReader
 	w       *bufio.Writer
 	epoch   int64 // server epoch from the latest Ready/HelloAck
 	server  string
@@ -43,7 +43,7 @@ func Dial(addr, clientName string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Client{conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}
+	c := &Client{conn: conn, fr: NewFrameReader(bufio.NewReader(conn), 0), w: bufio.NewWriter(conn)}
 	if err := c.send(&Hello{Version: ProtocolVersion, Client: clientName}); err != nil {
 		conn.Close()
 		return nil, err
@@ -91,26 +91,38 @@ func (c *Client) send(m Message) error {
 }
 
 func (c *Client) read() (Message, error) {
-	return ReadMessage(c.r, 0)
+	return c.fr.Read()
 }
 
 // turn sends a request and collects every response message up to (not
 // including) Ready. A server Error becomes a *ServerError, but the turn
-// is still drained to Ready first.
-func (c *Client) turn(req Message) ([]Message, error) {
+// is still drained to Ready first. When rows is non-nil, ResultRows
+// frames are decoded straight onto it instead of into messages.
+func (c *Client) turn(req Message, rows *[]seq.Entry) ([]Message, error) {
 	if err := c.send(req); err != nil {
 		return nil, err
 	}
 	var msgs []Message
 	var srvErr *ServerError
 	for {
-		m, err := c.read()
+		body, err := c.fr.next()
+		if err != nil {
+			return nil, err
+		}
+		if rows != nil && Type(body[0]) == TResultRows {
+			if *rows, err = decodeRows(body, *rows); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		m, err := Decode(body)
 		if err != nil {
 			return nil, err
 		}
 		switch t := m.(type) {
 		case *Ready:
 			c.epoch = t.Epoch
+			c.fr.Trim()
 			if srvErr != nil {
 				return nil, srvErr
 			}
@@ -142,18 +154,16 @@ type QueryResult struct {
 // Query runs a SEQL query over the inclusive span [start, end] and
 // drains the full result.
 func (c *Client) Query(seql string, start, end int64) (*QueryResult, error) {
-	msgs, err := c.turn(&Query{SEQL: seql, Start: start, End: end})
+	res := &QueryResult{}
+	msgs, err := c.turn(&Query{SEQL: seql, Start: start, End: end}, &res.Entries)
 	if err != nil {
 		return nil, err
 	}
-	res := &QueryResult{}
 	for _, m := range msgs {
 		switch t := m.(type) {
 		case *ResultHeader:
 			res.Fields = t.Fields
 			res.Epoch = t.Epoch
-		case *ResultRows:
-			res.Entries = append(res.Entries, t.Entries...)
 		case *ResultDone:
 			res.Rows = t.Rows
 			res.Epoch = t.Epoch
@@ -176,7 +186,7 @@ func (c *Client) Analyze(seql string, start, end int64) (string, error) {
 }
 
 func (c *Client) planTurn(req Message) (string, error) {
-	msgs, err := c.turn(req)
+	msgs, err := c.turn(req, nil)
 	if err != nil {
 		return "", err
 	}
@@ -197,7 +207,7 @@ func (c *Client) Materialize(name, seql string, start, end int64) (string, error
 // Append adds one record beyond the end of a sparse base sequence and
 // returns the new epoch.
 func (c *Client) Append(seqName string, pos int64, rec seq.Record) (int64, error) {
-	msgs, err := c.turn(&Append{Seq: seqName, Pos: pos, Rec: rec})
+	msgs, err := c.turn(&Append{Seq: seqName, Pos: pos, Rec: rec}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -220,7 +230,7 @@ func (c *Client) DropView(name string) (string, error) {
 }
 
 func (c *Client) ackTurn(req Message) (string, error) {
-	msgs, err := c.turn(req)
+	msgs, err := c.turn(req, nil)
 	if err != nil {
 		return "", err
 	}
@@ -234,7 +244,7 @@ func (c *Client) ackTurn(req Message) (string, error) {
 
 // ListSeqs returns the catalog's sequence names.
 func (c *Client) ListSeqs() ([]string, error) {
-	msgs, err := c.turn(&ListSeqs{})
+	msgs, err := c.turn(&ListSeqs{}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +259,7 @@ func (c *Client) ListSeqs() ([]string, error) {
 // Describe returns one sequence's schema and metadata as of the session
 // snapshot.
 func (c *Client) Describe(name string) (*SeqInfo, error) {
-	msgs, err := c.turn(&Describe{Name: name})
+	msgs, err := c.turn(&Describe{Name: name}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +276,7 @@ func (c *Client) Describe(name string) (*SeqInfo, error) {
 // output schema; the initial full-content Delta and all subsequent
 // incremental ones are read with ReadDelta.
 func (c *Client) Subscribe(seql string, start, end int64) (*SubAck, error) {
-	msgs, err := c.turn(&Subscribe{SEQL: seql, Start: start, End: end})
+	msgs, err := c.turn(&Subscribe{SEQL: seql, Start: start, End: end}, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -298,6 +308,7 @@ func (c *Client) ReadDelta() (*Delta, error) {
 	if err != nil {
 		return nil, err
 	}
+	c.fr.Trim()
 	if d, ok := m.(*Delta); ok {
 		return d, nil
 	}
@@ -310,7 +321,7 @@ func (c *Client) PendingDeltas() int { return len(c.deltas) }
 
 // ListViews returns the shared materialized views with counters.
 func (c *Client) ListViews() ([]ViewInfo, error) {
-	msgs, err := c.turn(&ListViews{})
+	msgs, err := c.turn(&ListViews{}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sync"
 
 	"repro/internal/seq"
 )
@@ -44,41 +45,6 @@ const (
 // larger frames are a protocol error. Results are batched into frames of
 // RowsPerBatch entries, so well-formed peers stay far below the bound.
 const DefaultMaxFrame = 16 << 20
-
-// RowsPerBatch is the number of result entries a ResultRows frame
-// carries at most.
-const RowsPerBatch = 256
-
-// RowsBatchBytes bounds the encoded payload of one outgoing ResultRows
-// frame: a batch flushes at whichever comes first, RowsPerBatch entries
-// or RowsBatchBytes of encoded entries, keeping every frame far below
-// DefaultMaxFrame even when individual records carry large strings.
-const RowsBatchBytes = 1 << 20
-
-// SplitRows partitions a result into ResultRows batches bounded by both
-// RowsPerBatch entries and RowsBatchBytes encoded bytes. Batches are
-// contiguous subslices of entries (no copying); a single entry larger
-// than RowsBatchBytes forms a batch of its own.
-func SplitRows(entries []seq.Entry) [][]seq.Entry {
-	var out [][]seq.Entry
-	w := &writer{}
-	start, batchBytes := 0, 0
-	for i, e := range entries {
-		w.buf = w.buf[:0]
-		w.varint(e.Pos)
-		w.record(e.Rec)
-		sz := len(w.buf)
-		if i > start && (batchBytes+sz > RowsBatchBytes || i-start >= RowsPerBatch) {
-			out = append(out, entries[start:i])
-			start, batchBytes = i, 0
-		}
-		batchBytes += sz
-	}
-	if start < len(entries) {
-		out = append(out, entries[start:])
-	}
-	return out
-}
 
 // Type identifies a message. Client-originated types occupy 0x01–0x7f,
 // server-originated types 0x81–0xff.
@@ -520,15 +486,7 @@ func (m *ResultRows) encode(w *writer) {
 	}
 }
 func (m *ResultRows) decode(r *reader) {
-	n := r.count("row", RowsPerBatch*16)
-	if r.err != nil {
-		return
-	}
-	m.Entries = make([]seq.Entry, n)
-	for i := range m.Entries {
-		m.Entries[i].Pos = r.varint()
-		m.Entries[i].Rec = r.record()
-	}
+	m.Entries = r.entries(nil, "row")
 }
 
 // ResultDone closes a query response with totals: row count, the pinned
@@ -792,15 +750,7 @@ func (m *Delta) decode(r *reader) {
 	m.Epoch = r.varint()
 	m.Start = r.varint()
 	m.End = r.varint()
-	n := r.count("delta entry", RowsPerBatch*16)
-	if r.err != nil {
-		return
-	}
-	m.Entries = make([]seq.Entry, n)
-	for i := range m.Entries {
-		m.Entries[i].Pos = r.varint()
-		m.Entries[i].Rec = r.record()
-	}
+	m.Entries = r.entries(nil, "delta entry")
 }
 
 // SplitDelta partitions one region replacement into Delta frames whose
@@ -829,42 +779,87 @@ func SplitDelta(subID uint64, epoch, start, end int64, entries []seq.Entry) []*D
 
 // ── framing ─────────────────────────────────────────────────────────
 
-// WriteMessage frames and writes one message.
+// writers recycles WriteMessage's frame buffers.
+var writers = sync.Pool{New: func() any { return new(writer) }}
+
+// WriteMessage frames and writes one message with a single Write: the
+// length prefix is reserved ahead of the body in the same buffer.
 func WriteMessage(out io.Writer, m Message) error {
-	w := &writer{}
-	w.byte(byte(m.Type()))
+	w := writers.Get().(*writer)
+	w.buf = append(w.buf[:0], 0, 0, 0, 0, byte(m.Type()))
 	m.encode(w)
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(w.buf)))
-	if _, err := out.Write(hdr[:]); err != nil {
-		return err
-	}
+	binary.BigEndian.PutUint32(w.buf, uint32(len(w.buf)-4))
 	_, err := out.Write(w.buf)
+	if cap(w.buf) <= maxKeptBuffer {
+		writers.Put(w)
+	}
 	return err
 }
 
 // ReadMessage reads and decodes one frame. maxFrame <= 0 selects
-// DefaultMaxFrame.
+// DefaultMaxFrame. A connection reading many frames uses a FrameReader,
+// which reuses one buffer.
 func ReadMessage(in io.Reader, maxFrame int) (Message, error) {
+	return NewFrameReader(in, maxFrame).Read()
+}
+
+// FrameReader reads frames from one stream into a buffer it reuses, so a
+// connection's reads allocate only what decoding keeps. Decoded messages
+// never alias the buffer: strings are copied out of it.
+type FrameReader struct {
+	in  io.Reader
+	max int
+	hdr [4]byte
+	buf []byte
+}
+
+// NewFrameReader reads frames from in, rejecting frames larger than
+// maxFrame bytes (<= 0 selects DefaultMaxFrame) before allocating.
+func NewFrameReader(in io.Reader, maxFrame int) *FrameReader {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrame
 	}
-	var hdr [4]byte
-	if _, err := io.ReadFull(in, hdr[:]); err != nil {
+	return &FrameReader{in: in, max: maxFrame}
+}
+
+// next reads the next frame body (type byte + payload), valid until the
+// following call.
+func (fr *FrameReader) next() ([]byte, error) {
+	if _, err := io.ReadFull(fr.in, fr.hdr[:]); err != nil {
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(fr.hdr[:])
 	if n == 0 {
 		return nil, fmt.Errorf("wire: empty frame")
 	}
-	if int(n) > maxFrame {
-		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, maxFrame)
+	if int(n) > fr.max {
+		return nil, fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, fr.max)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(in, buf); err != nil {
+	if cap(fr.buf) < int(n) {
+		fr.buf = make([]byte, n)
+	}
+	buf := fr.buf[:n]
+	if _, err := io.ReadFull(fr.in, buf); err != nil {
 		return nil, err
 	}
-	return Decode(buf)
+	return buf, nil
+}
+
+// Read reads and decodes the next frame.
+func (fr *FrameReader) Read() (Message, error) {
+	body, err := fr.next()
+	if err != nil {
+		return nil, err
+	}
+	return Decode(body)
+}
+
+// Trim drops a buffer that grew past 1 MiB, so a one-off large frame
+// is not kept for the life of the connection. Call it between turns.
+func (fr *FrameReader) Trim() {
+	if cap(fr.buf) > maxKeptBuffer {
+		fr.buf = nil
+	}
 }
 
 // Decode decodes one frame body (type byte + payload).

@@ -57,9 +57,8 @@ type Analysis struct {
 	// (see Result.RunAnalyzeReopt).
 	Reopt *reopt.Report
 	// Batches and BatchRows count the batches and valid rows the run's
-	// root collector consumed; both zero for scalar runs, which also
-	// keeps the render byte-identical to a build without the batch
-	// subsystem.
+	// root collector consumed; both zero only for a run that drained no
+	// batch (an empty span).
 	Batches   int64
 	BatchRows int64
 	// Intern totals the run's value-intern hit/miss counters, summed
@@ -79,21 +78,10 @@ func (r *Result) RunAnalyze() (*Analysis, error) {
 		return r.RunAnalyzeReopt()
 	}
 	pred := r.predFn()
-	var bctx *seq.BatchCtx
-	if r.opts.Batch.Enabled() {
-		bctx = seq.NewBatchCtx()
-	}
+	ctx := seq.NewBatchCtx()
 	if r.Parallel.Parallel() {
 		start := time.Now()
-		var out *seq.Materialized
-		var root *exec.NodeMetrics
-		var parts []parallel.PartitionMetrics
-		var err error
-		if bctx != nil {
-			out, root, parts, err = parallel.RunAnalyzeBatch(r.Plan, r.RunSpan, r.Parallel, pred, bctx)
-		} else {
-			out, root, parts, err = parallel.RunAnalyze(r.Plan, r.RunSpan, r.Parallel, pred)
-		}
+		out, root, parts, err := parallel.RunAnalyze(r.Plan, r.RunSpan, r.Parallel, pred, ctx)
 		elapsed := time.Since(start)
 		if err != nil {
 			return nil, err
@@ -117,52 +105,55 @@ func (r *Result) RunAnalyze() (*Analysis, error) {
 			Partitions:  parts,
 			Views:       r.viewCounters(),
 		}
-		a.absorbBatch(bctx)
+		a.absorbBatch(ctx)
 		return a, nil
 	}
 	instr, root := exec.Instrument(r.Plan, pred)
-	stores := exec.PlanStores(r.Plan)
-	before := make([]storage.StatsSnapshot, len(stores))
-	for i, st := range stores {
-		before[i] = st.Stats().Snapshot()
-	}
+	before := r.storeSnapshots()
 	start := time.Now()
-	var out *seq.Materialized
-	var err error
-	if bctx != nil {
-		out, err = exec.RunBatch(instr, r.RunSpan, bctx)
-	} else {
-		out, err = exec.Run(instr, r.RunSpan)
-	}
+	out, err := exec.Run(instr, r.RunSpan, ctx)
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
 	}
 	root.Finalize()
-	var global storage.StatsSnapshot
-	for i, st := range stores {
-		global = global.Add(st.Stats().Snapshot().Sub(before[i]))
-	}
 	a := &Analysis{
 		Output:      out,
 		Root:        root,
 		Span:        r.RunSpan,
 		Elapsed:     elapsed,
 		Predicted:   r.Cost,
-		GlobalPages: global,
+		GlobalPages: r.pagesSince(before),
 		Params:      r.Params,
 		Views:       r.viewCounters(),
 	}
-	a.absorbBatch(bctx)
+	a.absorbBatch(ctx)
 	return a, nil
 }
 
-// absorbBatch copies a completed batch context's run counters into the
-// analysis (no-op for scalar runs, keeping their reports unchanged).
-func (a *Analysis) absorbBatch(ctx *seq.BatchCtx) {
-	if ctx == nil {
-		return
+// storeSnapshots snapshots the statistics of the plan's base stores.
+func (r *Result) storeSnapshots() []storage.StatsSnapshot {
+	stores := exec.PlanStores(r.Plan)
+	out := make([]storage.StatsSnapshot, len(stores))
+	for i, st := range stores {
+		out[i] = st.Stats().Snapshot()
 	}
+	return out
+}
+
+// pagesSince sums the movement of the plan's base-store statistics
+// since the storeSnapshots call that returned before.
+func (r *Result) pagesSince(before []storage.StatsSnapshot) storage.StatsSnapshot {
+	var global storage.StatsSnapshot
+	for i, st := range exec.PlanStores(r.Plan) {
+		global = global.Add(st.Stats().Snapshot().Sub(before[i]))
+	}
+	return global
+}
+
+// absorbBatch copies a completed run's batch counters into the
+// analysis.
+func (a *Analysis) absorbBatch(ctx *seq.BatchCtx) {
 	a.Batches = ctx.Batches
 	a.BatchRows = ctx.Rows
 	a.Intern = ctx.Intern.Stats()
@@ -208,8 +199,7 @@ func (a *Analysis) render(times bool) string {
 	b.WriteByte('\n')
 	fmt.Fprintf(&b, "predicted stream cost %.2f | actual page cost %.2f (%s)\n",
 		a.Predicted.Stream, a.PageCost(a.GlobalPages), a.GlobalPages)
-	// Batch-plane summary: only vectorized runs print it, so scalar
-	// reports stay byte-identical to builds without the subsystem.
+	// Batch-plane summary: a run that consumed no batch prints none.
 	if a.Batches > 0 {
 		fmt.Fprintf(&b, "batch: batches=%d rows/batch=%.1f", a.Batches, float64(a.BatchRows)/float64(a.Batches))
 		in := a.Intern

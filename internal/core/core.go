@@ -74,14 +74,6 @@ type Options struct {
 	// ablation): MaintainViews invalidates every view reading the written
 	// base instead of stitching, shrinking or keeping it.
 	DisableViewMaintenance bool
-	// Batch selects the execution data plane for Run and RunAnalyze: the
-	// zero value (BatchAuto) drives converted operators through columnar
-	// batches with value interning, BatchOff forces the record-at-a-time
-	// scalar interpreter — the semantic ground truth the differential
-	// tests compare against. Reoptimized runs always execute scalar:
-	// mid-run splicing needs record-granular checkpoints, which batch
-	// boundaries do not provide.
-	Batch exec.BatchMode
 }
 
 func (o Options) params() CostParams {
@@ -187,31 +179,18 @@ func (r *Result) Run() (*seq.Materialized, error) {
 // Drain executes the stream plan over the run span and streams the
 // output rows into sinks: sink is called once per output range in
 // position order — once for a serial run, once per partition of a
-// partitioned batch run — and the rows of each range go to its sink.
-// The reoptimizing and scalar paths materialize first and pass their
-// entries to a single sink.
+// partitioned run, once per segment or tail partition of a reoptimized
+// run — and the rows of each range go to its sink.
 func (r *Result) Drain(sink func(seq.Span) exec.BatchSink) error {
 	if !r.RunSpan.Bounded() && !r.RunSpan.IsEmpty() {
 		return fmt.Errorf("core: query output span %v is unbounded; request a bounded range", r.RunSpan)
 	}
-	if r.opts.Batch.Enabled() && !r.opts.Reopt.Enabled {
-		return parallel.DrainBatches(r.Plan, r.RunSpan, r.Parallel, seq.NewBatchCtx(), sink)
-	}
-	var out *seq.Materialized
-	var err error
-	switch {
-	case r.opts.Reopt.Enabled:
-		out, _, err = r.RunReoptWith(r.opts.Reopt)
-	case r.Parallel.Parallel():
-		out, err = parallel.Run(r.Plan, r.RunSpan, r.Parallel)
-	default:
-		out, err = exec.Run(r.Plan, r.RunSpan)
-	}
-	if err != nil {
+	ctx := seq.NewBatchCtx()
+	if r.opts.Reopt.Enabled {
+		_, err := r.drainReopt(r.opts.Reopt, ctx, sink)
 		return err
 	}
-	sink(r.RunSpan).AppendEntries(out.Entries())
-	return nil
+	return parallel.DrainBatches(r.Plan, r.RunSpan, r.Parallel, ctx, sink)
 }
 
 // Probe evaluates the query at specific positions using the probed plan

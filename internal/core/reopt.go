@@ -11,7 +11,6 @@ import (
 	"repro/internal/planlint"
 	"repro/internal/reopt"
 	"repro/internal/seq"
-	"repro/internal/storage"
 )
 
 // predFn returns the PlanCosts lookup as the instrumentation-layer
@@ -49,14 +48,33 @@ func (r *Result) RunReopt() (*seq.Materialized, *reopt.Report, error) {
 
 // RunReoptWith is RunReopt under an explicit configuration — the test
 // and fuzz entry point (forced checkpoints, adversarial midpoints,
-// forced tail parallelism). The monitored head segments run serially;
-// a replanned tail may still run span-partitioned per its decision. In
-// verify mode every spliced plan passes the planlint physical and cost
-// checks at splice time, and the executed segments pass the reopt/*
-// splice invariants afterwards.
+// forced tail parallelism).
 func (r *Result) RunReoptWith(cfg reopt.Config) (*seq.Materialized, *reopt.Report, error) {
+	return r.collectReopt(cfg, seq.NewBatchCtx())
+}
+
+// collectReopt runs drainReopt under ctx and materializes the output.
+func (r *Result) collectReopt(cfg reopt.Config, ctx *seq.BatchCtx) (*seq.Materialized, *reopt.Report, error) {
+	var rep *reopt.Report
+	out, err := exec.Collect(r.Plan.Info().Schema, r.RunSpan, func(sink func(seq.Span) exec.BatchSink) error {
+		var err error
+		rep, err = r.drainReopt(cfg, ctx, sink)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return out, rep, nil
+}
+
+// drainReopt streams the reoptimized run into sinks (see reopt.Run).
+// The monitored head segments run serially; a replanned tail may still
+// run span-partitioned per its decision. In verify mode every spliced
+// plan passes the planlint physical and cost checks at splice time, and
+// the executed segments pass the reopt/* splice invariants afterwards.
+func (r *Result) drainReopt(cfg reopt.Config, ctx *seq.BatchCtx, sink func(seq.Span) exec.BatchSink) (*reopt.Report, error) {
 	if !r.RunSpan.Bounded() && !r.RunSpan.IsEmpty() {
-		return nil, nil, fmt.Errorf("core: query output span %v is unbounded; request a bounded range", r.RunSpan)
+		return nil, fmt.Errorf("core: query output span %v is unbounded; request a bounded range", r.RunSpan)
 	}
 	rp := &replanner{
 		res:       r,
@@ -68,9 +86,9 @@ func (r *Result) RunReoptWith(cfg reopt.Config) (*seq.Materialized, *reopt.Repor
 		tailK:     cfg.TailK,
 		verify:    r.verifyOn(),
 	}
-	out, rep, err := reopt.Run(r.Plan, r.RunSpan, cfg, r.predFn(), r.costWeights(), rp)
+	rep, err := reopt.Run(r.Plan, r.RunSpan, cfg, r.predFn(), r.costWeights(), rp, ctx, sink)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if rp.verify {
 		segs := make([]planlint.ReoptSegment, len(rep.Segments))
@@ -78,10 +96,10 @@ func (r *Result) RunReoptWith(cfg reopt.Config) (*seq.Materialized, *reopt.Repor
 			segs[i] = planlint.ReoptSegment{Span: s.Span, Plan: s.Plan}
 		}
 		if err := planlint.Error(planlint.VerifyReopt(r.RunSpan, segs)); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
-	return out, rep, nil
+	return rep, nil
 }
 
 // replanner implements reopt.Planner over the per-block plan generator:
@@ -107,8 +125,8 @@ type replanner struct {
 }
 
 // Replan implements reopt.Planner.
-func (rp *replanner) Replan(remaining, consumed seq.Span, metrics *exec.NodeMetrics, force bool) (*reopt.Segment, error) {
-	rp.observe(consumed, metrics)
+func (rp *replanner) Replan(remaining, read seq.Span, metrics *exec.NodeMetrics, force bool) (*reopt.Segment, error) {
+	rp.observe(read, metrics)
 	// The rebuild keeps the original request's universe: it is part of
 	// the query's semantics (degenerate operators are confined to it),
 	// so a spliced plan must compute the same function over the
@@ -185,13 +203,14 @@ func (rp *replanner) Replan(remaining, consumed seq.Span, metrics *exec.NodeMetr
 // observe walks the current segment's plan and metrics trees in
 // lockstep (Instrument mirrors the plan shape one NodeMetrics per
 // node) and records an observed output density per algebra node where
-// the counters carry enough evidence.
-func (rp *replanner) observe(consumed seq.Span, metrics *exec.NodeMetrics) {
+// the counters carry enough evidence. read is the prefix of the
+// segment's span the counters cover.
+func (rp *replanner) observe(read seq.Span, metrics *exec.NodeMetrics) {
 	total := rp.span.Len()
 	if total <= 0 {
 		return
 	}
-	frac := float64(consumed.Len()) / float64(total)
+	frac := float64(read.Len()) / float64(total)
 	if frac <= 0 {
 		return
 	}
@@ -221,8 +240,8 @@ const minEvidence = 4
 
 // observedDensity derives a node's output density from its live
 // counters: probed nodes report the non-Null fraction of their
-// answers; streamed nodes report rows emitted over the consumed
-// fraction of their access span.
+// answers; streamed nodes report rows emitted over the read fraction
+// of their access span.
 func observedDensity(access seq.Span, m *exec.NodeMetrics, frac float64) (float64, bool) {
 	if m.ProbeCalls >= minEvidence && m.ScanCalls == 0 {
 		return float64(m.ProbeRows) / float64(m.ProbeCalls), true
@@ -244,20 +263,13 @@ func observedDensity(access seq.Span, m *exec.NodeMetrics, frac float64) (float6
 func (r *Result) RunAnalyzeReopt() (*Analysis, error) {
 	cfg := r.opts.Reopt
 	cfg.Enabled = true
-	stores := exec.PlanStores(r.Plan)
-	before := make([]storage.StatsSnapshot, len(stores))
-	for i, st := range stores {
-		before[i] = st.Stats().Snapshot()
-	}
+	ctx := seq.NewBatchCtx()
+	before := r.storeSnapshots()
 	start := time.Now()
-	out, rep, err := r.RunReoptWith(cfg)
+	out, rep, err := r.collectReopt(cfg, ctx)
 	elapsed := time.Since(start)
 	if err != nil {
 		return nil, err
-	}
-	var global storage.StatsSnapshot
-	for i, st := range stores {
-		global = global.Add(st.Stats().Snapshot().Sub(before[i]))
 	}
 	var root *exec.NodeMetrics
 	for _, s := range rep.Segments {
@@ -265,15 +277,17 @@ func (r *Result) RunAnalyzeReopt() (*Analysis, error) {
 			root = s.Metrics
 		}
 	}
-	return &Analysis{
+	a := &Analysis{
 		Output:      out,
 		Root:        root,
 		Span:        r.RunSpan,
 		Elapsed:     elapsed,
 		Predicted:   r.Cost,
-		GlobalPages: global,
+		GlobalPages: r.pagesSince(before),
 		Params:      r.Params,
 		Views:       r.viewCounters(),
 		Reopt:       rep,
-	}, nil
+	}
+	a.absorbBatch(ctx)
+	return a, nil
 }

@@ -278,6 +278,106 @@ func TestReoptParallelTail(t *testing.T) {
 	}
 }
 
+// symSelectQuery is a selection over a sparse store with a string
+// column: a record at every third position of [0, n-1], its symbol
+// cycling through three values, keeping all but one symbol.
+func symSelectQuery(t *testing.T, n int64) *algebra.Node {
+	t.Helper()
+	schema := seq.MustSchema(
+		seq.Field{Name: "sym", Type: seq.TString},
+		seq.Field{Name: "v", Type: seq.TFloat},
+	)
+	syms := []string{"aa", "bb", "cc"}
+	var es []seq.Entry
+	for p := int64(0); p < n; p += 3 {
+		es = append(es, seq.Entry{Pos: p, Rec: seq.Record{seq.Str(syms[(p/3)%3]), seq.Float(float64(p))}})
+	}
+	m, err := seq.NewMaterialized(schema, es)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err = m.WithSpan(seq.NewSpan(0, n-1)); err != nil {
+		t.Fatal(err)
+	}
+	st, err := storage.FromMaterialized(m, storage.KindSparse, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := algebra.Base("syms", st)
+	sym, err := expr.NewCol(schema, "sym")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred, err := expr.NewBin(expr.OpNe, sym, expr.Literal(seq.Str("bb")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := algebra.Select(base, pred)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return q
+}
+
+// TestReoptSpliceInsideBatch forces a splice at a position that falls
+// inside a batch of a plan with a string column: the batch is cut right
+// after the first emitted row at or past ForceAt, the output is the
+// static run's record for record, and the analysis reports the batches
+// and string interning of a batch-plane run — serially and with the
+// tail partitioned at K=3.
+func TestReoptSpliceInsideBatch(t *testing.T) {
+	const n = 6000
+	span := seq.NewSpan(0, n-1)
+	force := seq.Pos(3001) // no record there; batches of 100 rows cover ~300 positions
+	for _, tailK := range []int{0, 3} {
+		cfg := reopt.Config{Enabled: true, CheckEvery: 100, Threshold: 1e9, ForceAt: &force, TailK: tailK}
+		res := optimize(t, symSelectQuery(t, n), span, Options{Verify: true, Reopt: cfg})
+		static := optimize(t, symSelectQuery(t, n), span, Options{Verify: true})
+		want, err := static.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, rep, err := res.RunReoptWith(cfg)
+		if err != nil {
+			t.Fatalf("TailK=%d: %v", tailK, err)
+		}
+		got, exp := out.Entries(), want.Entries()
+		if len(got) != len(exp) {
+			t.Fatalf("TailK=%d: %d rows, static run has %d", tailK, len(got), len(exp))
+		}
+		for i := range exp {
+			if got[i].Pos != exp[i].Pos || !got[i].Rec[0].Equal(exp[i].Rec[0]) || !got[i].Rec[1].Equal(exp[i].Rec[1]) {
+				t.Fatalf("TailK=%d: row %d is %d %v, static run has %d %v",
+					tailK, i, got[i].Pos, got[i].Rec, exp[i].Pos, exp[i].Rec)
+			}
+		}
+		var first seq.Pos
+		for _, e := range exp {
+			if e.Pos >= force {
+				first = e.Pos
+				break
+			}
+		}
+		if len(rep.Switches) != 1 || rep.Switches[0].At != first {
+			t.Fatalf("TailK=%d: want one switch at %d, the first row ≥ %d:\n%s", tailK, first, force, rep.Render())
+		}
+		if last := rep.Segments[len(rep.Segments)-1]; tailK > 1 && last.K != tailK {
+			t.Errorf("TailK=%d: tail ran with K=%d:\n%s", tailK, last.K, rep.Render())
+		}
+		a, err := res.RunAnalyzeReopt()
+		if err != nil {
+			t.Fatalf("TailK=%d: analyze: %v", tailK, err)
+		}
+		if a.Batches == 0 || a.BatchRows != int64(len(exp)) {
+			t.Errorf("TailK=%d: analysis counted %d batches, %d rows; want >0 batches, %d rows",
+				tailK, a.Batches, a.BatchRows, len(exp))
+		}
+		if a.Intern.StrHits == 0 || a.Intern.StrMisses == 0 {
+			t.Errorf("TailK=%d: no string interning recorded: %+v", tailK, a.Intern)
+		}
+	}
+}
+
 // TestAnalyzeReoptGolden pins the EXPLAIN ANALYZE rendering of a
 // monitored run with one forced decision point: the reopt lines must
 // name the trigger node, the observed and predicted costs, and the

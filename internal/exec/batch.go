@@ -1,9 +1,11 @@
-// Vectorized (batch-at-a-time) execution. Converted operators exchange
-// columnar seq.Batch values of ~1024 positions instead of one record per
-// pull; operators not yet converted are bridged by an adapter that packs
-// their scalar cursor into batches, so every plan runs in batch mode.
-// The scalar interpreter is untouched and remains the ground truth the
-// differential fuzz harness checks batch execution against.
+// Vectorized (batch-at-a-time) execution: the one data plane every run
+// goes through. Converted operators exchange columnar seq.Batch values
+// of ~1024 positions instead of one record per pull; operators without a
+// batch cursor are bridged by an adapter that packs their scalar cursor
+// into batches, so every plan runs in batch mode. The scalar Scan
+// cursors stay for that adapter and as the reference implementation the
+// batch verifier and the differential fuzzers check batch execution
+// against.
 package exec
 
 import (
@@ -14,37 +16,12 @@ import (
 	"repro/internal/seq"
 )
 
-// BatchMode selects the execution data plane.
-type BatchMode uint8
-
-// The batch modes. The zero value enables batching, preserving the
-// "zero Options means the full pipeline" convention of internal/core.
-const (
-	// BatchAuto runs plans through the vectorized data plane.
-	BatchAuto BatchMode = iota
-	// BatchOff forces the record-at-a-time scalar interpreter.
-	BatchOff
-)
-
-// Enabled reports whether the mode uses the vectorized data plane.
-func (m BatchMode) Enabled() bool { return m == BatchAuto }
-
-// String returns the mode name.
-func (m BatchMode) String() string {
-	if m == BatchOff {
-		return "off"
-	}
-	return "auto"
-}
-
 // BatchSink consumes the rows of a drained plan: AppendBatch takes a
 // columnar batch's valid rows (the batch is only valid during the call;
-// string handles resolve through in), AppendEntries takes rows a path
-// already materialized. EntrySink boxes rows into entries; the wire
-// layer's RowsEncoder encodes them into result frames.
+// string handles resolve through in). EntrySink boxes rows into
+// entries; the wire layer's RowsEncoder encodes them into result frames.
 type BatchSink interface {
 	AppendBatch(b *seq.Batch, in *seq.Intern)
-	AppendEntries(entries []seq.Entry)
 }
 
 // EntrySink is the BatchSink that boxes rows into Entries.
@@ -73,16 +50,6 @@ func (s *EntrySink) AppendBatch(b *seq.Batch, in *seq.Intern) {
 		s.Entries = make([]seq.Entry, 0, est)
 	}
 	s.Entries = b.AppendEntries(s.Entries, in)
-}
-
-// AppendEntries implements BatchSink. Entries handed to an empty sink
-// are kept, not copied: they come from an immutable materialized result.
-func (s *EntrySink) AppendEntries(entries []seq.Entry) {
-	if s.Entries == nil {
-		s.Entries = entries
-		return
-	}
-	s.Entries = append(s.Entries, entries...)
 }
 
 // Collect runs drain, which calls sink once per output range in position
@@ -114,22 +81,16 @@ func Collect(schema *seq.Schema, span seq.Span, drain func(sink func(seq.Span) B
 	return seq.FromSortedEntries(schema, entries)
 }
 
-// RunBatch drains the plan in batch mode over the given bounded span and
-// materializes the result — the vectorized counterpart of Run. Batch
+// Run drains the plan over the given bounded span and materializes the
+// result. This is the Start operator of §4 (Figure 6): it "initiates
+// query evaluation by invoking a stream access on its input". Batch
 // producers emit entries in strictly ascending position order, so the
 // result skips NewMaterialized's sort.
-func RunBatch(p Plan, span seq.Span, ctx *seq.BatchCtx) (*seq.Materialized, error) {
+func Run(p Plan, span seq.Span, ctx *seq.BatchCtx) (*seq.Materialized, error) {
 	return Collect(p.Info().Schema, span, func(sink func(seq.Span) BatchSink) error {
 		_, err := DrainBatches(BatchScanOf(p, span, ctx), ctx, sink(span))
 		return err
 	})
-}
-
-// CollectBatches drains a batch cursor into entries, closing it.
-func CollectBatches(cur seq.BatchCursor, ctx *seq.BatchCtx) ([]seq.Entry, error) {
-	s := NewEntrySink(seq.EmptySpan)
-	_, err := DrainBatches(cur, ctx, s)
-	return s.Entries, err
 }
 
 // DrainBatches drains a batch cursor into sink, closing it, and returns
@@ -522,9 +483,9 @@ func (c *posOffsetBatchCursor) Err() error   { return c.in.Err() }
 func (c *posOffsetBatchCursor) Close() error { return c.in.Close() }
 
 // BatchScan implements the materialization point: the input is
-// materialized once (through the scalar collector, exactly like the
-// scalar path, so first-access cost and page attribution are identical)
-// and batches are then served straight off the materialized entries.
+// materialized once (the same ensure the scalar Scan and Probe use, so
+// first-access cost and page attribution are identical) and batches are
+// then served straight off the materialized entries.
 func (m *Materialize) BatchScan(span seq.Span, ctx *seq.BatchCtx) seq.BatchCursor {
 	if err := m.ensure(); err != nil {
 		return seq.ErrBatchCursor(err)

@@ -17,13 +17,13 @@ import (
 // root collector consumed.
 func batchVsScalar(t *testing.T, p Plan, span seq.Span, size int) int64 {
 	t.Helper()
-	want, err := Run(p, span)
+	want, err := scanAll(p, span)
 	if err != nil {
 		t.Fatalf("scalar run: %v", err)
 	}
 	ctx := seq.NewBatchCtx()
 	ctx.Size = size
-	got, err := RunBatch(p, span, ctx)
+	got, err := Run(p, span, ctx)
 	if err != nil {
 		t.Fatalf("batch run (size %d): %v", size, err)
 	}
@@ -66,11 +66,11 @@ func TestSearchPosFrom(t *testing.T) {
 		want   int
 	}{
 		{0, 1, 0}, {0, 2, 0}, {0, 3, 1}, {1, 5, 2},
-		{1, 100, 4},  // long gallop across the gap
-		{4, 102, 6},  // short hop inside the dense run
-		{0, 501, 8},  // past the end
-		{8, 1, 8},    // lo at len
-		{3, 8, 3},    // immediate hit, no gallop
+		{1, 100, 4}, // long gallop across the gap
+		{4, 102, 6}, // short hop inside the dense run
+		{0, 501, 8}, // past the end
+		{8, 1, 8},   // lo at len
+		{3, 8, 3},   // immediate hit, no gallop
 	}
 	for _, c := range cases {
 		if got := searchPosFrom(s, c.lo, c.target); got != c.want {
@@ -109,7 +109,7 @@ func TestBatchLeafSparseAndDense(t *testing.T) {
 func TestBatchEmptySpan(t *testing.T) {
 	p := leaf(t, map[seq.Pos]float64{1: 1, 2: 2})
 	ctx := seq.NewBatchCtx()
-	got, err := RunBatch(p, seq.EmptySpan, ctx)
+	got, err := Run(p, seq.EmptySpan, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +183,10 @@ func TestBatchProjectAliasCompiledFallback(t *testing.T) {
 	dbl, _ := expr.NewBin(expr.OpMul, cl, expr.Literal(seq.Float(2)))
 	abs, _ := expr.NewCall(expr.FnAbs, []expr.Expr{cl})
 	p, err := NewProject(in, []ProjExpr{
-		{Expr: vol, Name: "v"},      // column alias
-		{Expr: dbl, Name: "twice"},  // compiled vector expression
-		{Expr: abs, Name: "mag"},    // scalar fallback (Call)
-		{Expr: cl, Name: "close2"},  // second alias of the same input
+		{Expr: vol, Name: "v"},     // column alias
+		{Expr: dbl, Name: "twice"}, // compiled vector expression
+		{Expr: abs, Name: "mag"},   // scalar fallback (Call)
+		{Expr: cl, Name: "close2"}, // second alias of the same input
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,11 +213,11 @@ func TestBatchProjectErrorParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, serr := Run(p, seq.NewSpan(0, 5))
+	_, serr := scanAll(p, seq.NewSpan(0, 5))
 	if serr == nil {
 		t.Fatal("scalar run must fail on integer division by zero")
 	}
-	_, berr := RunBatch(p, seq.NewSpan(0, 5), seq.NewBatchCtx())
+	_, berr := Run(p, seq.NewSpan(0, 5), seq.NewBatchCtx())
 	if berr == nil {
 		t.Fatal("batch run must fail on integer division by zero")
 	}
@@ -400,7 +400,7 @@ func TestBatchMeteredCounters(t *testing.T) {
 
 	sp, sstats := build()
 	sinstr, sroot := Instrument(sp, nil)
-	if _, err := Run(sinstr, span); err != nil {
+	if _, err := scanAll(sinstr, span); err != nil {
 		t.Fatal(err)
 	}
 	sroot.Finalize()
@@ -410,7 +410,7 @@ func TestBatchMeteredCounters(t *testing.T) {
 	binstr, broot := Instrument(bp, nil)
 	ctx := seq.NewBatchCtx()
 	ctx.Size = 2
-	if _, err := RunBatch(binstr, span, ctx); err != nil {
+	if _, err := Run(binstr, span, ctx); err != nil {
 		t.Fatal(err)
 	}
 	broot.Finalize()
@@ -549,12 +549,12 @@ func TestBatchStringInterning(t *testing.T) {
 	p := NewSelect(in, pred)
 	span := seq.NewSpan(1, 100)
 
-	want, err := Run(p, span)
+	want, err := scanAll(p, span)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := seq.NewBatchCtx()
-	got, err := RunBatch(p, span, ctx)
+	got, err := Run(p, span, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,15 +570,6 @@ func TestBatchStringInterning(t *testing.T) {
 	}
 	if !strings.Contains("hot", got.Entries()[0].Rec[0].AsStr()) {
 		t.Errorf("decoded symbol %q", got.Entries()[0].Rec[0].AsStr())
-	}
-}
-
-func TestBatchModeString(t *testing.T) {
-	if BatchAuto.String() != "auto" || BatchOff.String() != "off" {
-		t.Errorf("mode strings: %q %q", BatchAuto.String(), BatchOff.String())
-	}
-	if !BatchAuto.Enabled() || BatchOff.Enabled() {
-		t.Error("enabled flags wrong")
 	}
 }
 

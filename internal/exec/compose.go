@@ -242,11 +242,7 @@ func (m *Materialize) ensure() error {
 	if m.mat != nil {
 		return nil
 	}
-	entries, err := seq.Collect(m.In.Scan(m.Span))
-	if err != nil {
-		return err
-	}
-	mat, err := seq.NewMaterialized(m.In.Info().Schema, entries)
+	mat, err := Run(m.In, m.Span, seq.NewBatchCtx())
 	if err != nil {
 		return err
 	}

@@ -11,6 +11,17 @@ import (
 
 var closeSchema = seq.MustSchema(seq.Field{Name: "close", Type: seq.TFloat})
 
+// scanAll drains the plan's scalar stream cursor over span and
+// materializes it: the record-at-a-time reference the batch plane is
+// checked against.
+func scanAll(p Plan, span seq.Span) (*seq.Materialized, error) {
+	entries, err := seq.Collect(p.Scan(span))
+	if err != nil {
+		return nil, err
+	}
+	return seq.NewMaterialized(p.Info().Schema, entries)
+}
+
 func mkSeq(t *testing.T, pairs map[seq.Pos]float64) *seq.Materialized {
 	t.Helper()
 	es := make([]seq.Entry, 0, len(pairs))
@@ -41,7 +52,7 @@ func gt(t *testing.T, schema *seq.Schema, col string, v float64) expr.Expr {
 // runPlan drains the plan over span and returns pos -> first column float.
 func runPlan(t *testing.T, p Plan, span seq.Span) map[seq.Pos]float64 {
 	t.Helper()
-	m, err := Run(p, span)
+	m, err := scanAll(p, span)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +348,7 @@ func TestAggCachedResidencyBounded(t *testing.T) {
 	}
 	spec := algebra.AggSpec{Func: algebra.AggSum, Arg: 0, Window: algebra.Trailing(8), As: "v"}
 	cached, _ := NewAggCached(leaf(t, pairs), spec, seq.NewSpan(1, 507))
-	if _, err := Run(cached, seq.AllSpan); err != nil {
+	if _, err := scanAll(cached, seq.AllSpan); err != nil {
 		t.Fatal(err)
 	}
 	if peak := PeakCacheResidency(cached); peak > 8 {
@@ -386,7 +397,7 @@ func TestComposeStrategiesAgree(t *testing.T) {
 	lp := map[seq.Pos]float64{1: 10, 2: 20, 3: 30, 5: 50}
 	rp := map[seq.Pos]float64{2: 19, 3: 31, 5: 10, 7: 70}
 	plans := composePlans(t, lp, rp, 0)
-	want, err := Run(plans[0], seq.AllSpan)
+	want, err := scanAll(plans[0], seq.AllSpan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,7 +406,7 @@ func TestComposeStrategiesAgree(t *testing.T) {
 		t.Fatalf("lockstep result = %v", want.Entries())
 	}
 	for _, p := range plans[1:] {
-		got, err := Run(p, seq.AllSpan)
+		got, err := scanAll(p, seq.AllSpan)
 		if err != nil {
 			t.Fatal(err)
 		}

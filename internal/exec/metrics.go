@@ -65,7 +65,8 @@ type NodeMetrics struct {
 	// node (each also counts in ScanCalls), Batches the batches it
 	// emitted, BatchRows the valid rows those batches carried (also in
 	// ScanRows, so rows stay comparable across modes). All zero when
-	// the node ran scalar.
+	// the node was scanned through its scalar cursor, below an operator
+	// the batch adapter bridges.
 	BatchCalls int64
 	Batches    int64
 	BatchRows  int64

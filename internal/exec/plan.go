@@ -79,18 +79,6 @@ func PeakCacheResidency(p Plan) int {
 	return total
 }
 
-// Run drains the plan in stream mode over the given bounded span and
-// materializes the result. This is the Start operator of §4 (Figure 6):
-// it "initiates query evaluation by invoking a stream access on its
-// input".
-func Run(p Plan, span seq.Span) (*seq.Materialized, error) {
-	entries, err := seq.Collect(p.Scan(span))
-	if err != nil {
-		return nil, err
-	}
-	return seq.NewMaterialized(p.Info().Schema, entries)
-}
-
 // RunProbes evaluates the plan in probed mode at each given position (the
 // "records at specific positions" query form of §4) and returns the
 // non-Null answers.

@@ -152,17 +152,28 @@ func e4HotPath(n int64) (exec.Plan, seq.Span, error) {
 	return agg, span, nil
 }
 
+// scalarRun drains the plan's record-at-a-time Scan cursor and
+// materializes it: the reference implementation the batch plane is
+// timed against.
+func scalarRun(p exec.Plan, span seq.Span) (*seq.Materialized, error) {
+	entries, err := seq.Collect(p.Scan(span))
+	if err != nil {
+		return nil, err
+	}
+	return seq.NewMaterialized(p.Info().Schema, entries)
+}
+
 func batchPoint(path string, n int64, iters int, mk func(int64) (exec.Plan, seq.Span, error)) (BatchPoint, error) {
 	p, span, err := mk(n)
 	if err != nil {
 		return BatchPoint{}, err
 	}
 	// Cross-check the planes agree before timing anything.
-	want, err := exec.Run(p, span)
+	want, err := scalarRun(p, span)
 	if err != nil {
 		return BatchPoint{}, err
 	}
-	got, err := exec.RunBatch(p, span, seq.NewBatchCtx())
+	got, err := exec.Run(p, span, seq.NewBatchCtx())
 	if err != nil {
 		return BatchPoint{}, err
 	}
@@ -172,14 +183,14 @@ func batchPoint(path string, n int64, iters int, mk func(int64) (exec.Plan, seq.
 	}
 	pt := BatchPoint{Path: path, N: n, Rows: want.Count()}
 	pt.ScalarNsOp, pt.ScalarAllocsOp, err = measureRun(iters, func() error {
-		_, err := exec.Run(p, span)
+		_, err := scalarRun(p, span)
 		return err
 	})
 	if err != nil {
 		return BatchPoint{}, err
 	}
 	pt.BatchNsOp, pt.BatchAllocsOp, err = measureRun(iters, func() error {
-		_, err := exec.RunBatch(p, span, seq.NewBatchCtx())
+		_, err := exec.Run(p, span, seq.NewBatchCtx())
 		return err
 	})
 	if err != nil {
@@ -194,10 +205,10 @@ func batchPoint(path string, n int64, iters int, mk func(int64) (exec.Plan, seq.
 	// Composed point: batch plane with K=4 partitioned workers. Skipped
 	// (left zero) when the plan does not partition at this size.
 	if d, err := parallel.ForceK(p, span, 4); err == nil {
-		pgot, err := parallel.RunBatch(p, span, d, seq.NewBatchCtx())
+		pgot, err := parallel.Run(p, span, d, seq.NewBatchCtx())
 		if err == nil && pgot.Count() == want.Count() {
 			pt.Par4NsOp, _, err = measureRun(iters, func() error {
-				_, err := parallel.RunBatch(p, span, d, seq.NewBatchCtx())
+				_, err := parallel.Run(p, span, d, seq.NewBatchCtx())
 				return err
 			})
 			if err == nil && pt.Par4NsOp > 0 {
@@ -243,7 +254,7 @@ func internPoint(distinct int, n int64) (InternPoint, error) {
 	}
 	plan := exec.NewSelect(exec.NewLeaf("s", st, seq.AllSpan), pred)
 	ctx := seq.NewBatchCtx()
-	if _, err := exec.RunBatch(plan, seq.NewSpan(1, n), ctx); err != nil {
+	if _, err := exec.Run(plan, seq.NewSpan(1, n), ctx); err != nil {
 		return InternPoint{}, err
 	}
 	is := ctx.Intern.Stats()

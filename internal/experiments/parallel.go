@@ -271,7 +271,7 @@ func sweepQuery(db *seqproc.DB, id, query string, span seq.Span, maxWorkers, rep
 		serialPt.SerialOnlyReason = sc.Reason
 	}
 	ns, rows, pages, err := measure(func() (*seq.Materialized, error) {
-		return exec.Run(res.Plan, res.RunSpan)
+		return exec.Run(res.Plan, res.RunSpan, seq.NewBatchCtx())
 	})
 	if err != nil {
 		return nil, err
@@ -305,7 +305,7 @@ func sweepQuery(db *seqproc.DB, id, query string, span seq.Span, maxWorkers, rep
 		}
 		pt := mk(k, forced, d.Halo.String(), d.HaloCost)
 		ns, rows, pages, err := measure(func() (*seq.Materialized, error) {
-			return parallel.Run(res.Plan, res.RunSpan, d)
+			return parallel.Run(res.Plan, res.RunSpan, d, seq.NewBatchCtx())
 		})
 		if err != nil {
 			return nil, err

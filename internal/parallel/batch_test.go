@@ -46,6 +46,9 @@ func symPlan(t *testing.T, n int64) exec.Plan {
 	return exec.NewSelect(exec.NewLeaf("s", st, seq.AllSpan), pred)
 }
 
+// TestRunBatchMatchesRun checks the partitioned batch drain against the
+// serial batch executor, and that every worker's batch counters are
+// absorbed into the caller's context.
 func TestRunBatchMatchesRun(t *testing.T) {
 	n := int64(4096)
 	span := seq.NewSpan(1, n)
@@ -55,12 +58,12 @@ func TestRunBatchMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := Run(p, span, d)
+		want, err := exec.Run(p, span, seq.NewBatchCtx())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ctx := seq.NewBatchCtx()
-		got, err := RunBatch(p, span, d, ctx)
+		got, err := Run(p, span, d, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +80,7 @@ func TestRunBatchInternPrivacy(t *testing.T) {
 	n := int64(2048)
 	span := seq.NewSpan(1, n)
 	p := symPlan(t, n)
-	want, err := exec.Run(p, span)
+	want, err := scanAll(p, span)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +90,7 @@ func TestRunBatchInternPrivacy(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		ctx := seq.NewBatchCtx()
-		got, err := RunBatch(p, span, d, ctx)
+		got, err := Run(p, span, d, ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,6 +106,10 @@ func TestRunBatchInternPrivacy(t *testing.T) {
 	}
 }
 
+// TestRunAnalyzeBatchPartitions checks the batch side of an analyzed
+// partitioned run: per-partition records, batch counters on the merged
+// metrics root and on the caller's context, and refusal of a serial
+// decision.
 func TestRunAnalyzeBatchPartitions(t *testing.T) {
 	n := int64(4096)
 	p := fixture(t, n)
@@ -111,12 +118,12 @@ func TestRunAnalyzeBatchPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.Run(p, span)
+	want, err := exec.Run(p, span, seq.NewBatchCtx())
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := seq.NewBatchCtx()
-	out, root, parts, err := RunAnalyzeBatch(p, span, d, nil, ctx)
+	out, root, parts, err := RunAnalyze(p, span, d, nil, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +151,7 @@ func TestRunAnalyzeBatchPartitions(t *testing.T) {
 		t.Errorf("run counters batches=%d rows=%d, output rows %d", ctx.Batches, ctx.Rows, out.Count())
 	}
 	// A serial decision is the caller's bug.
-	if _, _, _, err := RunAnalyzeBatch(p, span, &Decision{}, nil, ctx); err == nil {
+	if _, _, _, err := RunAnalyze(p, span, &Decision{}, nil, ctx); err == nil {
 		t.Error("serial decision accepted")
 	}
 }

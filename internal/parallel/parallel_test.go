@@ -288,11 +288,21 @@ func entriesEqual(t *testing.T, got, want []seq.Entry) {
 	}
 }
 
+// scanAll drains the plan's scalar stream cursor over span: the
+// record-at-a-time reference partitioned runs are checked against.
+func scanAll(p exec.Plan, span seq.Span) (*seq.Materialized, error) {
+	entries, err := seq.Collect(p.Scan(span))
+	if err != nil {
+		return nil, err
+	}
+	return seq.NewMaterialized(p.Info().Schema, entries)
+}
+
 func TestRunMatchesSerial(t *testing.T) {
 	n := int64(4096)
 	p := fixture(t, n)
 	span := seq.NewSpan(1, n)
-	want, err := exec.Run(p, span)
+	want, err := scanAll(p, span)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +311,7 @@ func TestRunMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Run(p, span, d)
+		got, err := Run(p, span, d, seq.NewBatchCtx())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,11 +324,11 @@ func TestRunFallsBackOnSerialDecision(t *testing.T) {
 	p := fixture(t, n)
 	span := seq.NewSpan(1, n)
 	d := Plan(p, span, 1.0, 8, DefaultParams()) // cost model says serial
-	got, err := Run(p, span, d)
+	got, err := Run(p, span, d, seq.NewBatchCtx())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.Run(p, span)
+	want, err := scanAll(p, span)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +357,7 @@ func TestRunAnalyzePartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := exec.Run(p, span)
+	want, err := scanAll(p, span)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +367,7 @@ func TestRunAnalyzePartitions(t *testing.T) {
 	}
 	before := stores[0].Stats().Snapshot()
 
-	out, root, parts, err := RunAnalyze(p, span, d, nil)
+	out, root, parts, err := RunAnalyze(p, span, d, nil, seq.NewBatchCtx())
 	if err != nil {
 		t.Fatal(err)
 	}

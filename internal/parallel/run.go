@@ -26,27 +26,61 @@ func CloneWorkers(p exec.Plan, k int) ([]exec.Plan, error) {
 	return clones, nil
 }
 
-// Run evaluates the plan over the decision's partitions on one worker
-// goroutine per partition and concatenates the per-partition results —
-// in partition order, so the merged output is exactly the serial
-// Scan(span) stream — into one materialized result. A serial decision
-// (or a plan that turns out not to be clonable) falls back to exec.Run.
-func Run(p exec.Plan, span seq.Span, d *Decision) (*seq.Materialized, error) {
-	if !d.Parallel() {
-		return exec.Run(p, span)
+// Run evaluates the plan over the decision's partitions and materializes
+// the concatenated result: DrainBatches into entries.
+func Run(p exec.Plan, span seq.Span, d *Decision, ctx *seq.BatchCtx) (*seq.Materialized, error) {
+	return exec.Collect(p.Info().Schema, span, func(sink func(seq.Span) exec.BatchSink) error {
+		return DrainBatches(p, span, d, ctx, sink)
+	})
+}
+
+// DrainBatches runs the plan over span and streams its rows into sinks:
+// sink is called once per partition, in partition order, before any
+// worker starts, and each worker drains its partition into its own sink
+// on a private plan clone. The legality argument is that batch
+// evaluation of a sub-span is the restriction of the full scan to it,
+// so partition concatenation reconstructs the serial stream; a serial
+// decision or an uncloneable plan drains one sink over the whole span
+// under ctx.
+func DrainBatches(p exec.Plan, span seq.Span, d *Decision, ctx *seq.BatchCtx, sink func(seq.Span) exec.BatchSink) error {
+	var clones []exec.Plan
+	if d.Parallel() {
+		clones, _ = CloneWorkers(p, len(d.Partitions))
 	}
-	clones, err := CloneWorkers(p, len(d.Partitions))
-	if err != nil {
-		return exec.Run(p, span)
+	if clones == nil {
+		_, err := exec.DrainBatches(exec.BatchScanOf(p, span, ctx), ctx, sink(span))
+		return err
 	}
-	results := make([][]seq.Entry, len(d.Partitions))
-	errs := make([]error, len(d.Partitions))
+	_, err := drainPartitions(clones, d.Partitions, ctx, sink)
+	return err
+}
+
+// drainPartitions is the partition worker loop: worker i drains plans[i]
+// over parts[i] into the sink obtained for that partition. Each worker
+// drives the batch pipeline with a private forked context — same batch
+// size, its own intern table, so handle spaces never cross goroutines —
+// and the per-worker batch and intern counters are folded back into ctx
+// after the join. It returns each worker's span, row count and wall
+// time.
+func drainPartitions(plans []exec.Plan, parts []seq.Span, ctx *seq.BatchCtx, sink func(seq.Span) exec.BatchSink) ([]PartitionMetrics, error) {
+	k := len(parts)
+	sinks := make([]exec.BatchSink, k)
+	for i, part := range parts {
+		sinks[i] = sink(part)
+	}
+	rows := make([]seq.Span, k)
+	errs := make([]error, k)
+	wctxs := make([]*seq.BatchCtx, k)
+	pms := make([]PartitionMetrics, k)
 	var wg sync.WaitGroup
-	for i, part := range d.Partitions {
+	for i, part := range parts {
+		wctxs[i] = ctx.Fork()
 		wg.Add(1)
 		go func(i int, part seq.Span) {
 			defer wg.Done()
-			results[i], errs[i] = seq.Collect(clones[i].Scan(part))
+			start := time.Now()
+			rows[i], errs[i] = exec.DrainBatches(exec.BatchScanOf(plans[i], part, wctxs[i]), wctxs[i], sinks[i])
+			pms[i] = PartitionMetrics{Span: part, Rows: wctxs[i].Rows, Elapsed: time.Since(start)}
 		}(i, part)
 	}
 	wg.Wait()
@@ -55,19 +89,22 @@ func Run(p exec.Plan, span seq.Span, d *Decision) (*seq.Materialized, error) {
 			return nil, err
 		}
 	}
-	return mergeEntries(p, results)
-}
-
-func mergeEntries(p exec.Plan, results [][]seq.Entry) (*seq.Materialized, error) {
-	total := 0
-	for _, r := range results {
-		total += len(r)
+	for _, w := range wctxs {
+		ctx.AbsorbCounters(w)
 	}
-	all := make([]seq.Entry, 0, total)
-	for _, r := range results {
-		all = append(all, r...)
+	// Each worker checked its own rows; the partitions' rows must also
+	// follow one another.
+	last := seq.EmptySpan
+	for _, r := range rows {
+		if r.IsEmpty() {
+			continue
+		}
+		if !last.IsEmpty() && r.Start <= last.End {
+			return nil, fmt.Errorf("parallel: partition output not strictly ascending: %d after %d", r.Start, last.End)
+		}
+		last = r
 	}
-	return seq.NewMaterialized(p.Info().Schema, all)
+	return pms, nil
 }
 
 // PartitionMetrics is the execution record of one partition worker in
@@ -94,13 +131,15 @@ type statsFork struct {
 // RunAnalyze evaluates the decision's partitions with per-worker
 // exec.Instrument shards and merges them deterministically: the result
 // entries concatenate in partition order, the per-node metric shards
-// sum into one tree mirroring the plan, and each worker's page accesses
-// — metered against worker-private forks of the base stores, so
+// sum into one tree mirroring the plan, each worker's page accesses —
+// metered against worker-private forks of the base stores, so
 // concurrent attribution stays exact — are folded back into the shared
-// store counters at completion. pred supplies the optimizer's per-node
+// store counters at completion, and the per-worker batch and intern
+// counters fold into ctx, so a partitioned EXPLAIN ANALYZE reports
+// run-wide interning behavior. pred supplies the optimizer's per-node
 // estimates keyed by the ORIGINAL plan's nodes; the clone mapping
 // carries them onto each shard.
-func RunAnalyze(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) exec.PredictedCost) (*seq.Materialized, *exec.NodeMetrics, []PartitionMetrics, error) {
+func RunAnalyze(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) exec.PredictedCost, ctx *seq.BatchCtx) (*seq.Materialized, *exec.NodeMetrics, []PartitionMetrics, error) {
 	if !d.Parallel() {
 		return nil, nil, nil, fmt.Errorf("parallel: RunAnalyze requires a parallel decision")
 	}
@@ -108,13 +147,10 @@ func RunAnalyze(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) ex
 		pred = func(exec.Plan) exec.PredictedCost { return exec.PredictedCost{} }
 	}
 	k := len(d.Partitions)
-	results := make([][]seq.Entry, k)
-	errs := make([]error, k)
+	instrs := make([]exec.Plan, k)
 	roots := make([]*exec.NodeMetrics, k)
-	parts := make([]PartitionMetrics, k)
 	forks := make([][]statsFork, k)
-	var wg sync.WaitGroup
-	for i, part := range d.Partitions {
+	for i := range d.Partitions {
 		clone, orig, err := exec.ClonePlan(p)
 		if err != nil {
 			return nil, nil, nil, err
@@ -135,25 +171,19 @@ func RunAnalyze(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) ex
 			}
 			return exec.PredictedCost{}
 		}
-		instr, root := exec.Instrument(clone, predClone)
-		roots[i] = root
-		wg.Add(1)
-		go func(i int, part seq.Span) {
-			defer wg.Done()
-			start := time.Now()
-			results[i], errs[i] = seq.Collect(instr.Scan(part))
-			parts[i] = PartitionMetrics{Span: part, Rows: int64(len(results[i])), Elapsed: time.Since(start)}
-		}(i, part)
+		instrs[i], roots[i] = exec.Instrument(clone, predClone)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, nil, err
-		}
+	var parts []PartitionMetrics
+	out, err := exec.Collect(p.Info().Schema, span, func(sink func(seq.Span) exec.BatchSink) error {
+		var err error
+		parts, err = drainPartitions(instrs, d.Partitions, ctx, sink)
+		return err
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	// Merge step: fold worker fork counters back into the shared store
-	// statistics, finalize and sum the metric shards, concatenate the
-	// partition outputs in order.
+	// statistics, then finalize and sum the metric shards.
 	for i := range parts {
 		var pages storage.StatsSnapshot
 		for _, f := range forks[i] {
@@ -169,10 +199,6 @@ func RunAnalyze(p exec.Plan, span seq.Span, d *Decision, pred func(exec.Plan) ex
 		if err := merged.Merge(r); err != nil {
 			return nil, nil, nil, err
 		}
-	}
-	out, err := mergeEntries(p, results)
-	if err != nil {
-		return nil, nil, nil, err
 	}
 	return out, merged, parts, nil
 }

@@ -44,10 +44,9 @@ func VerifyBatches(p exec.Plan, span seq.Span) []Issue {
 	if err != nil {
 		// The scalar run fails; the batch run must fail too, not
 		// silently produce rows.
-		ctx := seq.NewBatchCtx()
-		if got, berr := exec.CollectBatches(exec.BatchScanOf(p, span, ctx), ctx); berr == nil {
+		if got, berr := exec.Run(p, span, seq.NewBatchCtx()); berr == nil {
 			c.reportPlan("batch/validity", "§2.3", p,
-				"scalar scan fails (%v) but the batch scan returned %d rows", err, len(got))
+				"scalar scan fails (%v) but the batch scan returned %d rows", err, got.Count())
 		}
 		return c.issues
 	}
@@ -183,13 +182,13 @@ func (c *checker) checkInternIsolation(p exec.Plan, span seq.Span, serial []seq.
 			return
 		}
 		seen[fork.Intern] = true
-		entries, err := exec.CollectBatches(exec.BatchScanOf(clones[i], part, fork), fork)
+		out, err := exec.Run(clones[i], part, fork)
 		if err != nil {
 			c.reportPlan("batch/intern-isolation", "Thm. 3.1", p,
 				"partition %d batch scan failed under a forked context: %v", i, err)
 			return
 		}
-		merged = append(merged, entries...)
+		merged = append(merged, out.Entries()...)
 	}
 	if len(merged) != len(serial) {
 		c.reportPlan("batch/intern-isolation", "Thm. 3.1", p,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/planlint"
+	"repro/internal/reopt"
 	"repro/internal/seq"
 	"repro/internal/storage"
 	"repro/internal/storage/disk"
@@ -21,8 +22,9 @@ import (
 // disk DB (alternating dense and sparse layouts), and the plans execute
 // over buffer-pool-backed snapshots. Disk snapshots do not implement
 // the native batch protocol, so this exercises the adapter bridge end
-// to end — including its interaction with the metering wrapper — and
-// the batch/* invariants on top of it.
+// to end — including its interaction with the metering wrapper — the
+// batch/* invariants on top of it, and reoptimized runs whose segments
+// read disk snapshot leaves.
 func TestBatchDiskDifferential(t *testing.T) {
 	db, err := disk.Open(t.TempDir(), disk.Config{
 		PageSize: 512, RecordsPerPage: 4, PoolPages: 64, CheckpointInterval: -1,
@@ -59,12 +61,13 @@ func TestBatchSnapshotDifferential(t *testing.T) {
 // runLeafDifferential rebinds every base of random queries to the
 // sequence store returns (alternating sparse and dense layouts) and
 // checks batch evaluation against scalar evaluation on the optimized
-// plans, plus the batch/* invariants.
+// plans, plus the batch/* invariants, and reoptimized runs with forced
+// splices against the reference interpreter.
 func runLeafDifferential(t *testing.T, tier string, store func(name string, mat *seq.Materialized, kind storage.Kind) (seq.Sequence, error)) {
 	span := seq.NewSpan(-10, 50)
 	cfg := testgen.Config{MaxDepth: 4, MaxPos: 32, BaseDensity: 0.5}
 	const plans = 60
-	verified := 0
+	verified, spliced := 0, 0
 	var batches int64
 	for seed := int64(1); verified < plans; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -119,24 +122,50 @@ func runLeafDifferential(t *testing.T, tier string, store func(name string, mat 
 			t.Fatalf("seed %d: %s batch verification:\n%v\nquery:\n%s\nplan:\n%s",
 				seed, tier, planlint.Error(issues), q, res.Explain())
 		}
-		sgot, err := exec.Run(res.Plan, res.RunSpan)
+		sgot, err := seq.Collect(res.Plan.Scan(res.RunSpan))
 		if err != nil {
-			t.Fatalf("seed %d: scalar run: %v\nplan:\n%s", seed, err, res.Explain())
+			t.Fatalf("seed %d: scalar scan: %v\nplan:\n%s", seed, err, res.Explain())
 		}
 		ctx := seq.NewBatchCtx()
-		bgot, err := exec.RunBatch(res.Plan, res.RunSpan, ctx)
+		bgot, err := exec.Run(res.Plan, res.RunSpan, ctx)
 		if err != nil {
 			t.Fatalf("seed %d: batch run: %v\nplan:\n%s", seed, err, res.Explain())
 		}
-		if !testgen.EntriesApproxEqual(bgot.Entries(), sgot.Entries()) {
+		if !testgen.EntriesApproxEqual(bgot.Entries(), sgot) {
 			t.Fatalf("seed %d: %s batch evaluation disagrees with scalar\nquery:\n%s\nplan:\n%s",
 				seed, tier, q, res.Explain())
 		}
 		batches += ctx.Batches
+		// Reoptimized runs read the same leaves: splice at every
+		// checkpoint and at a forced midpoint, and the spliced output
+		// must still match the reference interpreter record for record.
+		want, err := algebra.EvalRange(q, span)
+		if err != nil {
+			t.Fatalf("seed %d: reference interpreter: %v\nquery:\n%s", seed, err, q)
+		}
+		mid := res.RunSpan.Start + res.RunSpan.Len()/2
+		for ci, rcfg := range []reopt.Config{
+			{Enabled: true, CheckEvery: 16, Threshold: 0},
+			{Enabled: true, CheckEvery: 1 << 30, Threshold: 8, ForceAt: &mid},
+		} {
+			rgot, rep, err := res.RunReoptWith(rcfg)
+			if err != nil {
+				t.Fatalf("seed %d: %s reopt cfg %d: %v\nquery:\n%s\nplan:\n%s",
+					seed, tier, ci, err, q, res.Explain())
+			}
+			if !testgen.EntriesApproxEqual(rgot.Entries(), want) {
+				t.Fatalf("seed %d: %s reopt cfg %d disagrees with the reference\nquery:\n%s\nplan:\n%s\nreport:\n%s",
+					seed, tier, ci, q, res.Explain(), rep.Render())
+			}
+			spliced += len(rep.Switches)
+		}
 		verified++
 	}
-	t.Logf("verified %d %s plans batch-vs-scalar (%d batches consumed)", verified, tier, batches)
+	t.Logf("verified %d %s plans batch-vs-scalar (%d batches consumed, %d reopt splices)", verified, tier, batches, spliced)
 	if batches == 0 {
 		t.Fatalf("no %s plan ever consumed a batch; the differential is dead", tier)
+	}
+	if spliced == 0 {
+		t.Fatalf("no %s reopt run ever spliced; the reopt differential is dead", tier)
 	}
 }

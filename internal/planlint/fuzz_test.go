@@ -77,8 +77,8 @@ func TestDifferentialFuzz(t *testing.T) {
 		if issues := planlint.VerifyPhysical(res.Plan); len(issues) != 0 {
 			t.Fatalf("seed %d: post-run physical verification:\n%v", seed, planlint.Error(issues))
 		}
-		// Batch-vs-scalar differential: the vectorized data plane must
-		// reproduce the scalar interpreter's stream record for record on
+		// Batch-vs-scalar differential: the batch data plane must
+		// reproduce the scalar Scan cursors' stream record for record on
 		// the same physical plan, and the batch stream itself must uphold
 		// the batch/* invariants (span tiling, validity/Null agreement,
 		// intern-table isolation).
@@ -88,15 +88,15 @@ func TestDifferentialFuzz(t *testing.T) {
 		}
 		if res.RunSpan.Bounded() && !res.RunSpan.IsEmpty() {
 			bctx := seq.NewBatchCtx()
-			bgot, err := exec.RunBatch(res.Plan, res.RunSpan, bctx)
+			bgot, err := exec.Run(res.Plan, res.RunSpan, bctx)
 			if err != nil {
 				t.Fatalf("seed %d: batch run: %v\nquery:\n%s\nplan:\n%s", seed, err, q, res.Explain())
 			}
-			sgot, err := exec.Run(res.Plan, res.RunSpan)
+			sgot, err := seq.Collect(res.Plan.Scan(res.RunSpan))
 			if err != nil {
-				t.Fatalf("seed %d: scalar run: %v\nquery:\n%s\nplan:\n%s", seed, err, q, res.Explain())
+				t.Fatalf("seed %d: scalar scan: %v\nquery:\n%s\nplan:\n%s", seed, err, q, res.Explain())
 			}
-			if !testgen.EntriesApproxEqual(bgot.Entries(), sgot.Entries()) {
+			if !testgen.EntriesApproxEqual(bgot.Entries(), sgot) {
 				t.Fatalf("seed %d: batch evaluation disagrees with scalar\nquery:\n%s\nplan:\n%s",
 					seed, q, res.Explain())
 			}
@@ -115,25 +115,16 @@ func TestDifferentialFuzz(t *testing.T) {
 				t.Fatalf("seed %d: K=%d partition verification:\n%v\nplan:\n%s",
 					seed, k, planlint.Error(issues), res.Explain())
 			}
-			pgot, err := parallel.Run(res.Plan, res.RunSpan, dec)
+			// Per-worker forked intern tables, concatenated in partition
+			// order.
+			bctx := seq.NewBatchCtx()
+			pgot, err := parallel.Run(res.Plan, res.RunSpan, dec, bctx)
 			if err != nil {
 				t.Fatalf("seed %d: K=%d partitioned run: %v\nquery:\n%s\nplan:\n%s",
 					seed, k, err, q, res.Explain())
 			}
 			if !testgen.EntriesApproxEqual(pgot.Entries(), got.Entries()) {
 				t.Fatalf("seed %d: K=%d partitioned evaluation disagrees with serial\nquery:\n%s\nplan:\n%s",
-					seed, k, q, res.Explain())
-			}
-			// The partitioned batch plane must agree too: per-worker
-			// forked intern tables, concatenated in partition order.
-			bctx := seq.NewBatchCtx()
-			pbgot, err := parallel.RunBatch(res.Plan, res.RunSpan, dec, bctx)
-			if err != nil {
-				t.Fatalf("seed %d: K=%d partitioned batch run: %v\nquery:\n%s\nplan:\n%s",
-					seed, k, err, q, res.Explain())
-			}
-			if !testgen.EntriesApproxEqual(pbgot.Entries(), got.Entries()) {
-				t.Fatalf("seed %d: K=%d partitioned batch evaluation disagrees with serial\nquery:\n%s\nplan:\n%s",
 					seed, k, q, res.Explain())
 			}
 			batchParts += bctx.Batches

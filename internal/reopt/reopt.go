@@ -2,11 +2,12 @@
 // item "compare predicted vs. actual per-node costs mid-run and switch
 // access mode for the remaining span".
 //
-// A monitored run drains the stream plan through the EXPLAIN ANALYZE
-// instrumentation layer and, at every checkpoint interval of consumed
-// positions, compares each node's accumulated actual cost (pages, cache
-// operations, records — exec.NodeMetrics.ActualCost) against its
-// §4.1.2/§4.1.3 prediction pro-rated to the span consumed. When the
+// A monitored run drains the stream plan's batches through the EXPLAIN
+// ANALYZE instrumentation layer and, at every checkpoint interval of
+// consumed positions, compares each node's accumulated actual cost
+// (pages, cache operations, records — exec.NodeMetrics.ActualCost)
+// against its §4.1.2/§4.1.3 prediction pro-rated to the span read so
+// far. When the
 // relative error exceeds the configured threshold the run stops, asks a
 // Planner (implemented by internal/core) to re-run the per-block plan
 // generator for the *remaining* span with observed densities substituted
@@ -99,14 +100,16 @@ type Segment struct {
 // internal/core implements it over the per-block plan generator with
 // observed densities substituted for the Step-2 estimates.
 type Planner interface {
-	// Replan receives the remaining span, the span the current segment
-	// has consumed, and the live metrics of the current segment's run.
+	// Replan receives the remaining span, the prefix of the current
+	// segment's span its live metrics cover (everything it has read,
+	// which batch read-ahead may carry past the splice point), and those
+	// metrics.
 	// A nil Segment (with nil error) declines the splice: the rebuilt
 	// plan would not change mode or parallelism, so the current segment
 	// keeps running. force demands a Segment regardless (the ForceAt
 	// and threshold-0 fuzz modes, which exercise the splice machinery
 	// itself).
-	Replan(remaining, consumed seq.Span, metrics *exec.NodeMetrics, force bool) (*Segment, error)
+	Replan(remaining, read seq.Span, metrics *exec.NodeMetrics, force bool) (*Segment, error)
 }
 
 // Trigger records why a checkpoint fired.
@@ -114,7 +117,7 @@ type Trigger struct {
 	// Node is the label of the plan node with the worst relative error.
 	Node string
 	// Predicted is the node's cumulative predicted stream cost pro-rated
-	// to the consumed fraction of the segment span.
+	// to the fraction of the segment span read.
 	Predicted float64
 	// Actual is the node's accumulated actual cost in the same units.
 	Actual float64
@@ -145,7 +148,8 @@ type SegmentReport struct {
 	K    int
 	Rows int64
 	// Metrics is the finalized metrics tree of a monitored (serial)
-	// segment; nil for a parallel tail.
+	// segment, counting what it read past its splice point within the
+	// batch it was cut in; nil for a parallel tail.
 	Metrics *exec.NodeMetrics
 }
 
@@ -214,152 +218,205 @@ func StrategySignature(p exec.Plan) string {
 }
 
 // Run executes the plan over the span under checkpoint monitoring,
-// splicing in the planner's replacements when triggers fire, and
-// returns the materialized output with the reoptimization report. pred
-// supplies the optimizer's per-node estimates for the initial plan; w
-// prices the observed counters in the same units.
+// splicing in the planner's replacements when triggers fire, streams
+// the output rows into sinks, and returns the reoptimization report.
+// sink is called once per output range in position order, as
+// parallel.DrainBatches calls it: once per monitored segment, with the
+// span the segment is asked to cover (a splice ends it early), and once
+// per partition of a parallel tail. pred supplies the optimizer's
+// per-node estimates for the initial plan; w prices the observed
+// counters in the same units.
 //
-// Checkpoints land exactly after an emitted entry, so a splice always
-// divides the segment span into [start, p] (consumed, already emitted)
-// and [p+1, end] (handed to the new plan): by Thm. 3.1 the
-// concatenation is record-for-record the static evaluation.
+// Monitored segments run on the batch plane under ctx with a batch size
+// of at most one checkpoint interval, which bounds the work a segment
+// reads past a checkpoint; ctx.Size is restored for a parallel tail and
+// before Run returns. Checkpoints land exactly after an emitted row, so
+// a splice always divides the segment span into [start, p] (consumed,
+// already emitted) and [p+1, end] (handed to the new plan): the batch
+// holding p loses its rows past p and ends at p, and since a batch
+// covers its sub-span exactly, by Thm. 3.1 the concatenation is
+// record-for-record the static evaluation.
 func Run(p exec.Plan, span seq.Span, cfg Config, pred func(exec.Plan) exec.PredictedCost,
-	w exec.CostWeights, planner Planner) (*seq.Materialized, *Report, error) {
+	w exec.CostWeights, planner Planner, ctx *seq.BatchCtx, sink func(seq.Span) exec.BatchSink) (*Report, error) {
 	rep := &Report{}
-	schema := p.Info().Schema
 	if span.IsEmpty() {
-		out, err := exec.Run(p, span)
-		return out, rep, err
+		_, err := exec.DrainBatches(exec.BatchScanOf(p, span, ctx), ctx, sink(span))
+		return rep, err
 	}
 	if !span.Bounded() {
-		return nil, nil, fmt.Errorf("reopt: monitored run over unbounded span %v", span)
+		return nil, fmt.Errorf("reopt: monitored run over unbounded span %v", span)
 	}
-	interval := cfg.interval()
-	var entries []seq.Entry
-	curPlan, curSpan, curPred := p, span, pred
-	curMode := StrategySignature(p)
-	forcedPending := cfg.ForceAt != nil
-
+	size := ctx.Size
+	defer func() { ctx.Size = size }()
+	if iv := cfg.interval(); iv < int64(size) {
+		ctx.Size = int(iv)
+	}
+	mon := &monitor{cfg: cfg, w: w, planner: planner, rep: rep, forcedPending: cfg.ForceAt != nil}
+	seg := &Segment{Plan: p, Span: span, Pred: pred, Mode: StrategySignature(p)}
 	for {
-		instr, root := exec.Instrument(curPlan, curPred)
-		cur := instr.Scan(curSpan)
-		consumed := curSpan.Start - 1
-		nextCheck := curSpan.Start + interval - 1
-		segStartRows := len(entries)
-		var spliced *Segment
-		var trig Trigger
-		for {
-			pos, rec, ok := cur.Next()
-			if !ok {
-				break
-			}
-			entries = append(entries, seq.Entry{Pos: pos, Rec: rec.Clone()})
-			consumed = pos
-			force := forcedPending && pos >= *cfg.ForceAt
-			check := consumed >= nextCheck
-			if !force && !check {
-				continue
-			}
-			if check {
-				rep.Checkpoints++
-				for nextCheck <= consumed {
-					nextCheck += interval
-				}
-			}
-			if consumed >= curSpan.End {
-				continue // nothing remains to replan
-			}
-			if cfg.MaxSwitches > 0 && len(rep.Switches) >= cfg.MaxSwitches {
-				continue
-			}
-			t, hit := evaluate(root, curSpan, consumed, w, cfg.Threshold)
-			if force {
-				t.Forced, hit = true, true
-			}
-			if !hit {
-				continue
-			}
-			if force {
-				forcedPending = false
-			}
-			remaining := seq.Span{Start: consumed + 1, End: curSpan.End}
-			prefix := seq.Span{Start: curSpan.Start, End: consumed}
-			mustSplice := t.Forced || cfg.Threshold == 0
-			seg, err := planner.Replan(remaining, prefix, root, mustSplice)
-			if err != nil {
-				cur.Close()
-				return nil, nil, fmt.Errorf("reopt: replanning %v: %w", remaining, err)
-			}
-			if seg == nil {
-				continue // planner declined: same mode, keep streaming
-			}
-			spliced, trig = seg, t
-			break
+		instr, root := exec.Instrument(seg.Plan, seg.Pred)
+		cur := &checkpointCursor{
+			in: exec.BatchScanOf(instr, seg.Span, ctx), mon: mon, root: root,
+			span: seg.Span, nextCheck: seg.Span.Start + cfg.interval() - 1,
 		}
-		err := cur.Err()
-		cur.Close()
-		if err != nil {
-			return nil, nil, err
+		rows := ctx.Rows
+		if _, err := exec.DrainBatches(cur, ctx, sink(seg.Span)); err != nil {
+			return nil, err
 		}
 		root.Finalize()
-		if spliced == nil {
-			rep.Segments = append(rep.Segments, SegmentReport{
-				Span: curSpan, Plan: curPlan, Mode: curMode, K: 1,
-				Rows: int64(len(entries) - segStartRows), Metrics: root,
-			})
-			break
+		done := seg.Span
+		if cur.next != nil {
+			done.End = cur.consumed
 		}
-		prefix := seq.Span{Start: curSpan.Start, End: consumed}
 		rep.Segments = append(rep.Segments, SegmentReport{
-			Span: prefix, Plan: curPlan, Mode: curMode, K: 1,
-			Rows: int64(len(entries) - segStartRows), Metrics: root,
+			Span: done, Plan: seg.Plan, Mode: seg.Mode, K: 1,
+			Rows: ctx.Rows - rows, Metrics: root,
 		})
+		next := cur.next
+		if next == nil {
+			return rep, nil
+		}
 		newK := 1
-		if spliced.Decision.Parallel() {
-			newK = spliced.Decision.K
+		if next.Decision.Parallel() {
+			newK = next.Decision.K
 		}
 		rep.Switches = append(rep.Switches, Switch{
-			At: consumed, Trigger: trig,
-			OldMode: curMode, NewMode: spliced.Mode, NewK: newK,
+			At: cur.consumed, Trigger: cur.trigger,
+			OldMode: seg.Mode, NewMode: next.Mode, NewK: newK,
 		})
 		if newK > 1 {
 			// A revised-parallelism switch: the tail runs span-partitioned
 			// on workers; monitoring ends (workers have private metric
 			// shards, not a single live tree to checkpoint).
-			out, err := parallel.Run(spliced.Plan, spliced.Span, spliced.Decision)
-			if err != nil {
-				return nil, nil, err
+			ctx.Size = size
+			rows := ctx.Rows
+			if err := parallel.DrainBatches(next.Plan, next.Span, next.Decision, ctx, sink); err != nil {
+				return nil, err
 			}
-			tail := out.Entries()
-			entries = append(entries, tail...)
 			rep.Segments = append(rep.Segments, SegmentReport{
-				Span: spliced.Span, Plan: spliced.Plan, Mode: spliced.Mode,
-				K: newK, Rows: int64(len(tail)),
+				Span: next.Span, Plan: next.Plan, Mode: next.Mode,
+				K: newK, Rows: ctx.Rows - rows,
 			})
-			break
+			return rep, nil
 		}
-		curPlan, curSpan, curPred, curMode = spliced.Plan, spliced.Span, spliced.Pred, spliced.Mode
+		seg = next
 	}
-	out, err := seq.NewMaterialized(schema, entries)
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, rep, nil
 }
+
+// monitor is the run-wide checkpoint state shared by the segments.
+type monitor struct {
+	cfg           Config
+	w             exec.CostWeights
+	planner       Planner
+	rep           *Report
+	forcedPending bool
+}
+
+// checkpointCursor passes a monitored segment's batches through,
+// deciding at every emitted row whether a checkpoint lands there. When
+// the planner supplies a replacement it cuts the batch at that row and
+// ends the stream; next then holds the segment that continues the run.
+type checkpointCursor struct {
+	in        seq.BatchCursor
+	mon       *monitor
+	root      *exec.NodeMetrics
+	span      seq.Span
+	nextCheck seq.Pos
+	consumed  seq.Pos // the last row emitted
+	next      *Segment
+	trigger   Trigger
+	err       error
+}
+
+func (c *checkpointCursor) NextBatch() (*seq.Batch, bool) {
+	if c.next != nil || c.err != nil {
+		return nil, false
+	}
+	b, ok := c.in.NextBatch()
+	if !ok {
+		return nil, false
+	}
+	// The metrics count the whole batch, so checkpoints price them
+	// against the span read so far, not just the rows emitted.
+	read := seq.Span{Start: c.span.Start, End: min(b.Span.End, c.span.End)}
+	n := len(b.Pos)
+	for i := b.Valid.NextSet(0, n); i < n; i = b.Valid.NextSet(i+1, n) {
+		c.consumed = b.Pos[i]
+		if c.next, c.err = c.checkpoint(read); c.err != nil {
+			return nil, false
+		}
+		if c.next == nil {
+			continue
+		}
+		for j := b.Valid.NextSet(i+1, n); j < n; j = b.Valid.NextSet(j+1, n) {
+			b.Valid.Clear(j)
+		}
+		b.Span.End = c.consumed
+		break
+	}
+	return b, true
+}
+
+// checkpoint applies the checkpoint rule right after the row at
+// c.consumed and returns the planner's replacement segment when it
+// splices there.
+func (c *checkpointCursor) checkpoint(read seq.Span) (*Segment, error) {
+	m := c.mon
+	force := m.forcedPending && c.consumed >= *m.cfg.ForceAt
+	check := c.consumed >= c.nextCheck
+	if !force && !check {
+		return nil, nil
+	}
+	if check {
+		m.rep.Checkpoints++
+		for c.nextCheck <= c.consumed {
+			c.nextCheck += m.cfg.interval()
+		}
+	}
+	if c.consumed >= c.span.End {
+		return nil, nil // nothing remains to replan
+	}
+	if m.cfg.MaxSwitches > 0 && len(m.rep.Switches) >= m.cfg.MaxSwitches {
+		return nil, nil
+	}
+	t, hit := evaluate(c.root, c.span, read, m.w, m.cfg.Threshold)
+	if force {
+		t.Forced, hit = true, true
+		m.forcedPending = false
+	}
+	if !hit {
+		return nil, nil
+	}
+	remaining := seq.Span{Start: c.consumed + 1, End: c.span.End}
+	seg, err := m.planner.Replan(remaining, read, c.root, t.Forced || m.cfg.Threshold == 0)
+	if err != nil {
+		return nil, fmt.Errorf("reopt: replanning %v: %w", remaining, err)
+	}
+	c.trigger = t
+	return seg, nil
+}
+
+func (c *checkpointCursor) Err() error {
+	if c.err != nil {
+		return c.err
+	}
+	return c.in.Err()
+}
+
+func (c *checkpointCursor) Close() error { return c.in.Close() }
 
 // evaluate walks the live metrics tree and returns the worst-error
 // trigger at or beyond the threshold. The prediction side is each
 // node's cumulative predicted stream cost pro-rated to the fraction of
-// the segment span consumed; the actual side prices the node's
-// accumulated counters. A zero threshold always triggers (on the node
-// with the largest relative error).
-func evaluate(root *exec.NodeMetrics, span seq.Span, consumed seq.Pos,
+// the segment span read; the actual side prices the node's accumulated
+// counters. A zero threshold always triggers (on the node with the
+// largest relative error).
+func evaluate(root *exec.NodeMetrics, span, read seq.Span,
 	w exec.CostWeights, threshold float64) (Trigger, bool) {
 	if threshold < 0 {
 		threshold = DefaultThreshold
 	}
-	done := seq.Span{Start: span.Start, End: consumed}
-	frac := float64(done.Len()) / float64(span.Len())
+	frac := float64(read.Len()) / float64(span.Len())
 	if frac > 1 {
 		frac = 1
 	}

@@ -94,9 +94,9 @@ type RowsEncoder struct {
 	buf   []byte
 	ends  []int // end offsets of the closed frames
 	start int   // offset of the open frame's reserved header
-	rows  int // entries in the open frame; 0 when none is open
-	body  int // encoded bytes of those entries
-	total int // entries encoded since Reset
+	rows  int   // entries in the open frame; 0 when none is open
+	body  int   // encoded bytes of those entries
+	total int   // entries encoded since Reset
 }
 
 // AppendBatch encodes the batch's valid rows; string handles resolve
@@ -130,19 +130,6 @@ func (e *RowsEncoder) AppendBatch(b *seq.Batch, in *seq.Intern) {
 			}
 		}
 		e.buf = buf
-		e.commit(off)
-	}
-}
-
-// AppendEntries encodes boxed entries, for results that were
-// materialized before they reached the wire.
-func (e *RowsEncoder) AppendEntries(entries []seq.Entry) {
-	for _, en := range entries {
-		e.open()
-		off := len(e.buf)
-		w := writer{buf: binary.AppendVarint(e.buf, en.Pos)}
-		w.record(en.Rec)
-		e.buf = w.buf
 		e.commit(off)
 	}
 }
